@@ -26,10 +26,8 @@ integers over a common denominator) and scaled costs are exact integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from .core import (
@@ -37,7 +35,10 @@ from .core import (
     SlsnInstance,
     Solution,
     WeightedGraph,
+    adjacency,
+    as_integers,
     canonical_path_assignment,
+    dijkstra,
     feasibility_check,
 )
 from .exact_const import (
@@ -110,14 +111,6 @@ class ScaledCosts:
         return ScaledCosts(values, eps, C, n)
 
 
-def _integer_lengths(graph: WeightedGraph) -> tuple[list[int], int]:
-    """Edge lengths as integers over a common denominator (exact)."""
-    denom = 1
-    for e in graph.edges:
-        denom = denom * e.length.denominator // math.gcd(denom, e.length.denominator)
-    return [int(e.length * denom) for e in graph.edges], denom
-
-
 class _MinDistTable:
     """d(v, i): min length of an s-v walk of exact scaled cost i.
 
@@ -130,7 +123,7 @@ class _MinDistTable:
         self.graph = graph
         self.source = source
         self.scaled = scaled
-        lengths, self.denom = _integer_lengths(graph)
+        lengths = as_integers([e.length for e in graph.edges])
         n = graph.vertex_count
         max_c = max(scaled, default=0)
         # No simple path carries exact scaled cost above (n-1)*max_c.
@@ -309,7 +302,7 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
             options[pair] = [(key, seen[key].cost, seen[key].length) for key in order]
         return options[pair]
 
-    dists = [length_distances(graph, v) for v in range(n)]
+    dists = length_distances(graph)
     max_inter = 2 * (p - 1)
 
     def chains_for(s: int, t: int) -> list[_Chain]:
@@ -350,11 +343,9 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
                     return
                 pair, opts = per_seg[pos]
                 for oid in range(len(opts)):
-                    consistent = all(o == oid for q, o in acc if q == pair)
-                    if consistent:
-                        acc.append((pair, oid))
-                        assemble(pos + 1, acc)
-                        acc.pop()
+                    acc.append((pair, oid))
+                    assemble(pos + 1, acc)
+                    acc.pop()
 
             assemble(0, [])
 
@@ -375,10 +366,9 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
     chain_lists = [chains_for(s, t) for s, t in instance.demands.pairs]
     if any(not lst for lst in chain_lists):
         return None
-    found = _search_best_union(instance, chain_lists)
-    if found is None:
+    union = _search_best_union(instance, chain_lists)
+    if union is None:
         return None
-    union = found[0]
     paths = canonical_path_assignment(instance, union)
     return Solution.build(instance, union, paths)
 
@@ -584,28 +574,19 @@ def approx_star(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
 
 
 def _shortest_path_tree(graph: WeightedGraph, union: set[int], root: int) -> set[int]:
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for idx in union:
-        e = graph.edges[idx]
-        adj.setdefault(e.u, []).append((e.v, idx))
-        adj.setdefault(e.v, []).append((e.u, idx))
-    dist: dict[int, tuple[Fraction, Fraction]] = {root: (Fraction(0), Fraction(0))}
-    parent_edge: dict[int, int] = {}
-    heap = [(Fraction(0), Fraction(0), root)]
-    settled: set[int] = set()
-    while heap:
-        d, c, v = heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        for w, idx in adj.get(v, ()):  # ties by (length, cost) keep it cheap
-            e = graph.edges[idx]
-            nd = (d + e.length, c + e.cost)
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                parent_edge[w] = idx
-                heappush(heap, (nd[0], nd[1], w))
-    return set(parent_edge.values())
+    """Edges of a shortest-path tree of the union from root, ties broken by cost.
+
+    The (length, cost) key is one exact integer per edge: lengths and costs
+    as integers over common denominators, and length * K + cost with K
+    above the union's total integer cost, which no simple path reaches.
+    """
+    order = list(union)
+    lengths = as_integers([graph.edges[idx].length for idx in order])
+    costs = as_integers([graph.edges[idx].cost for idx in order])
+    K = sum(costs) + 1
+    weight = {idx: ln * K + c for idx, ln, c in zip(order, lengths, costs)}
+    _, parent = dijkstra(adjacency(graph, union, weight), {root: 0})
+    return {idx for _, idx in parent.values()}
 
 
 def _prune_leaves(graph: WeightedGraph, tree: set[int], keep: set[int]) -> set[int]:

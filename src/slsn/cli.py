@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import approx, exact_const, gadgets, oracle, star_dst
-from .classifier import DemandClassKind, classify
+from .classifier import DemandClass, DemandClassKind, classify
 from .core import (
     DemandGraph,
     SlsnInstance,
@@ -105,8 +105,11 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _pick_solver(instance: SlsnInstance, args) -> tuple[str, Optional[str]]:
-    """Solver name per flags or classification; second item is a refusal."""
+def _pick_solver(instance: SlsnInstance, args) -> tuple[str, Optional[DemandClass]]:
+    """Solver name per flags or classification; second item is a hard verdict to refuse.
+
+    A refused instance comes back as ("", verdict); otherwise the verdict is None.
+    """
     forced = [
         name
         for name, on in (
@@ -134,27 +137,25 @@ def _pick_solver(instance: SlsnInstance, args) -> tuple[str, Optional[str]]:
         return "approx-const", None
     if args.approx_anyway:
         return "approx-const", None
-    w = verdict.witness
-    return "", (
-        f"demand graph is hard (case {w.case_tag.value}); "
-        "rerun with --approx-anyway to attempt it regardless"
-    )
+    return "", verdict
 
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    solver, refusal = _pick_solver(instance, args)
-    if refusal is not None:
-        print(refusal, file=sys.stderr)
-        verdict = classify(instance.demands, args.k)
+    solver, hard = _pick_solver(instance, args)
+    if hard is not None:
+        w = hard.witness
+        print(
+            f"demand graph is hard (case {w.case_tag.value}); "
+            "rerun with --approx-anyway to attempt it regardless",
+            file=sys.stderr,
+        )
         _emit(
             {
                 "command": "solve",
                 "refused": True,
-                "case": verdict.witness.case_tag.value,
-                "vertex_map": {
-                    str(k_): v for k_, v in verdict.witness.vertex_map.items()
-                },
+                "case": w.case_tag.value,
+                "vertex_map": {str(k_): v for k_, v in w.vertex_map.items()},
             }
         )
         return EXIT_HARD
@@ -459,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=2)
     s.add_argument("--timing", action="store_true", help="include wall time in JSON")
     s.add_argument("--table", action="store_true", help="human-readable table instead of JSON")
-    s.add_argument("--jobs", type=int, default=1, help="worker count (bench only)")
 
     g = sub.add_parser("gadget", help="generate a hardness gadget instance")
     g.add_argument("--case", required=True,

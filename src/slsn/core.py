@@ -18,6 +18,7 @@ Design notes:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -33,7 +34,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not a rational value: {value!r}")
 
 
@@ -42,6 +46,16 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def as_integers(values: Sequence[Fraction]) -> list[int]:
+    """Exact rationals scaled by their least common denominator, as integers.
+
+    Scaling keeps order and sums exact, so the integers compare and add
+    like the rationals they stand for.
+    """
+    denom = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (denom // x.denominator) for x in values]
 
 
 @dataclass(frozen=True)
@@ -291,41 +305,84 @@ class FeasibilityReport:
         return all(d.satisfied for d in self.per_demand)
 
 
-def _subgraph_adjacency(
-    graph: WeightedGraph, edge_subset: Iterable[int]
-) -> list[list[tuple[int, int]]]:
-    """Adjacency lists (neighbor, edge index) restricted to an edge subset."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
-    for idx in set(edge_subset):
+def adjacency(
+    graph: WeightedGraph, edge_subset: Iterable[int], weight
+) -> list[list[tuple[int, int, object]]]:
+    """Adjacency lists ``adj[v] = [(w, edge_idx, weight[edge_idx])]`` of a subgraph.
+
+    Edges are listed in first-occurrence order of edge_subset (duplicates
+    dropped); ``weight`` is indexed by edge index.
+    """
+    adj: list[list[tuple[int, int, object]]] = [[] for _ in range(graph.vertex_count)]
+    for idx in dict.fromkeys(edge_subset):
         if not (0 <= idx < graph.edge_count):
             raise ValueError(f"invalid edge index {idx}")
         e = graph.edges[idx]
-        adj[e.u].append((e.v, idx))
-        adj[e.v].append((e.u, idx))
+        adj[e.u].append((e.v, idx, weight[idx]))
+        adj[e.v].append((e.u, idx, weight[idx]))
     return adj
+
+
+def dijkstra(adj, seeds: dict, targets: Iterable[int] = ()) -> tuple[dict, dict]:
+    """Exact multi-source Dijkstra over ``adj[v] = [(w, edge_idx, weight)]``.
+
+    ``seeds`` maps start vertices to their initial distances.  Returns
+    (settled distances, parent), where ``parent[v] = (u, edge_idx)`` is the
+    last relaxation that improved v (final once v is settled).  Stops once every target is settled;
+    with no targets, settles everything reachable.  Weights must be
+    nonnegative and exact (ints or Fractions).  Ties are deterministic: the
+    heap starts as sorted (distance, vertex) pairs and a relaxation only
+    replaces a strictly larger tentative distance.
+    """
+    dist = dict(seeds)
+    heap = sorted((d, v) for v, d in dist.items())
+    settled: dict = {}
+    parent: dict = {}
+    pending = set(targets)
+    while heap:
+        d, v = heappop(heap)
+        if v in settled:
+            continue
+        settled[v] = d
+        if v in pending:
+            pending.discard(v)
+            if not pending:
+                break
+        for w, idx, weight in adj[v]:
+            nd = d + weight
+            if w not in dist or nd < dist[w]:
+                dist[w] = nd
+                parent[w] = (v, idx)
+                heappush(heap, (nd, w))
+    return settled, parent
+
+
+def _lengths(graph: WeightedGraph) -> list[Fraction]:
+    return [e.length for e in graph.edges]
 
 
 def shortest_length_in_subgraph(
     graph: WeightedGraph, edge_subset: Iterable[int], source: int, target: int
 ) -> Optional[Fraction]:
     """Exact Dijkstra over a subset of edges; None when disconnected."""
-    adj = _subgraph_adjacency(graph, edge_subset)
-    dist: dict[int, Fraction] = {source: Fraction(0)}
-    settled: set[int] = set()
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
-    while heap:
-        d, v = heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == target:
-            return d
-        for w, idx in adj[v]:
-            nd = d + graph.edges[idx].length
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                heappush(heap, (nd, w))
-    return None
+    adj = adjacency(graph, edge_subset, _lengths(graph))
+    dist, _ = dijkstra(adj, {source: Fraction(0)}, (target,))
+    return dist.get(target)
+
+
+def _demand_searches(instance: SlsnInstance, adj) -> list[tuple[int, int, dict, dict]]:
+    """Per demand: (search source, other endpoint, distances, parents).
+
+    One Dijkstra runs per distinct source.  A star is searched from its
+    root, so it needs one run; other demands are searched from s.
+    """
+    root = instance.demands.star_root()
+    ends = [(t, s) if t == root else (s, t) for s, t in instance.demands.pairs]
+    targets: dict[int, list[int]] = {}
+    for src, dst in ends:
+        targets.setdefault(src, []).append(dst)
+    runs = {src: dijkstra(adj, {src: 0}, dsts) for src, dsts in targets.items()}
+    return [(src, dst, *runs[src]) for src, dst in ends]
 
 
 def feasibility_check(instance: SlsnInstance, edge_subset: Iterable[int]) -> FeasibilityReport:
@@ -335,52 +392,44 @@ def feasibility_check(instance: SlsnInstance, edge_subset: Iterable[int]) -> Fea
     at most L; each reported length is the exact shortest-path length in the
     subgraph (None when disconnected).
     """
-    subset = set(edge_subset)
+    adj = adjacency(instance.graph, edge_subset, _lengths(instance.graph))
     statuses = []
-    for s, t in instance.demands.pairs:
-        length = shortest_length_in_subgraph(instance.graph, subset, s, t)
-        ok = length is not None and length <= instance.L
-        statuses.append(DemandStatus(ok, length))
+    for _, dst, dist, _ in _demand_searches(instance, adj):
+        length = dist.get(dst)
+        statuses.append(DemandStatus(length is not None and length <= instance.L, length))
     return FeasibilityReport(tuple(statuses))
 
 
-def restricted_min_cost_path(
-    graph: WeightedGraph, u: int, v: int, hop_bound: int
+def hop_bounded_path(
+    graph: WeightedGraph, u: int, v: int, hop_bound: int, weight: Sequence
 ) -> Optional[Path]:
-    """Minimum-cost u-v path with at most hop_bound edges (unit lengths only).
+    """Minimum-weight u-v path with at most hop_bound edges, or None.
 
-    Bellman-Ford over hop counts.  Requires every edge length to equal 1;
-    raises ValueError otherwise.  Returns None when no such path exists.
-    Deterministic: edges are relaxed in index order and only strict cost
-    improvements are kept.
+    Bellman-Ford over hop counts with nonnegative exact weights indexed by
+    edge.  Deterministic: edges are relaxed in index order and only strict
+    improvements are kept, so parent chains can never revisit a vertex.
+    The bound is clamped to n-1, the most edges a simple path can have.
     """
-    if not graph.has_unit_lengths():
-        raise ValueError("restricted_min_cost_path requires unit edge lengths")
-    if hop_bound < 0:
-        raise ValueError("hop_bound must be nonnegative")
     n = graph.vertex_count
     hop_bound = min(hop_bound, max(n - 1, 0))
-    # dp[w] = min cost over u-w walks with at most h edges; strict improvements
-    # only, so parent chains can never revisit a vertex (costs are nonnegative).
-    dp: list[Optional[Fraction]] = [None] * n
-    dp[u] = Fraction(0)
+    # levels[h][w] = min weight over u-w walks with at most h edges
+    levels: list[list[Optional[Fraction]]] = [[None] * n]
+    levels[0][u] = Fraction(0)
     parent: dict[tuple[int, int], tuple[int, int]] = {}  # (h, w) -> (prev, edge)
-    levels: list[list[Optional[Fraction]]] = [list(dp)]
     for h in range(1, hop_bound + 1):
         prev = levels[-1]
         cur = list(prev)
         for idx, e in enumerate(graph.edges):
             for a, b in ((e.u, e.v), (e.v, e.u)):
                 if prev[a] is not None:
-                    nc = prev[a] + e.cost
-                    if cur[b] is None or nc < cur[b]:
-                        cur[b] = nc
+                    nw = prev[a] + weight[idx]
+                    if cur[b] is None or nw < cur[b]:
+                        cur[b] = nw
                         parent[(h, b)] = (a, idx)
         if cur == prev:
             break
         levels.append(cur)
-    final = levels[-1]
-    if final[v] is None:
+    if levels[-1][v] is None:
         return None
     # Walk back through levels: a missing parent entry means the value was
     # carried over from the previous level unchanged.
@@ -398,6 +447,21 @@ def restricted_min_cost_path(
     vertices.reverse()
     edge_seq.reverse()
     return Path.from_edge_sequence(graph, vertices, edge_seq)
+
+
+def restricted_min_cost_path(
+    graph: WeightedGraph, u: int, v: int, hop_bound: int
+) -> Optional[Path]:
+    """Minimum-cost u-v path with at most hop_bound edges (unit lengths only).
+
+    Requires every edge length to equal 1; raises ValueError otherwise.
+    Returns None when no such path exists.  See ``hop_bounded_path``.
+    """
+    if not graph.has_unit_lengths():
+        raise ValueError("restricted_min_cost_path requires unit edge lengths")
+    if hop_bound < 0:
+        raise ValueError("hop_bound must be nonnegative")
+    return hop_bounded_path(graph, u, v, hop_bound, [e.cost for e in graph.edges])
 
 
 class CostMode(enum.Enum):
@@ -460,8 +524,12 @@ def canonical_path_assignment(
     subpaths between those vertices coincide.  This is achieved by making
     shortest paths unique: candidate paths are compared by total length and
     then by an additive per-edge tie-break weight of 2^-(index+1), which
-    orders any two distinct edge sets differently.  The unique "shortest"
-    path under this order is computed per demand with Dijkstra.
+    orders any two distinct edge sets differently.  Both keys are folded
+    into one exact integer per edge: with D the common denominator of the
+    subset's lengths, b = |subset| and r the edge's rank in the sorted
+    subset, the weight is (length * D << b) + 2^(b-1-r).  The tie bits of a
+    simple path sum to less than 2^b, so integer order is the (length,
+    tie-break) order.  The unique "shortest" path is found with Dijkstra.
 
     Raises ValueError when edge_subset is not feasible.
     """
@@ -470,36 +538,25 @@ def canonical_path_assignment(
     if not report.feasible:
         raise ValueError("canonical_path_assignment requires a feasible edge subset")
     graph = instance.graph
-    adj = _subgraph_adjacency(graph, subset)
-    tie = {idx: Fraction(1, 2 ** (idx + 1)) for idx in subset}
-
-    def unique_shortest(s: int, t: int) -> Path:
-        Z = Fraction(0)
-        dist: dict[int, tuple[Fraction, Fraction]] = {s: (Z, Z)}
-        parent: dict[int, tuple[int, int]] = {}
-        heap: list[tuple[Fraction, Fraction, int]] = [(Z, Z, s)]
-        while heap:
-            d, p, v = heappop(heap)
-            if (d, p) > dist[v]:
-                continue
-            if v == t:
-                break
-            for w, idx in adj[v]:
-                cand = (d + graph.edges[idx].length, p + tie[idx])
-                if w not in dist or cand < dist[w]:
-                    dist[w] = cand
-                    parent[w] = (v, idx)
-                    heappush(heap, (cand[0], cand[1], w))
-        vertices = [t]
+    ranked = sorted(subset)
+    lengths = as_integers([graph.edges[idx].length for idx in ranked])
+    b = len(ranked)
+    weight = {
+        idx: (length << b) + (1 << (b - 1 - rank))
+        for rank, (idx, length) in enumerate(zip(ranked, lengths))
+    }
+    paths = []
+    for src, dst, _, parent in _demand_searches(instance, adjacency(graph, subset, weight)):
+        vertices = [dst]
         edge_seq = []
-        w = t
-        while w != s:
+        w = dst
+        while w != src:
             a, idx = parent[w]
             vertices.append(a)
             edge_seq.append(idx)
             w = a
-        vertices.reverse()
-        edge_seq.reverse()
-        return Path.from_edge_sequence(graph, vertices, edge_seq)
-
-    return [unique_shortest(s, t) for s, t in instance.demands.pairs]
+        if src < dst:  # pairs are stored as (s, t) with s < t; paths run s to t
+            vertices.reverse()
+            edge_seq.reverse()
+        paths.append(Path.from_edge_sequence(graph, vertices, edge_seq))
+    return paths

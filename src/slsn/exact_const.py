@@ -34,7 +34,6 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional
 
 from .core import (
@@ -42,73 +41,33 @@ from .core import (
     SlsnInstance,
     Solution,
     WeightedGraph,
+    adjacency,
     canonical_path_assignment,
+    dijkstra,
     feasibility_check,
+    hop_bounded_path,
     restricted_min_cost_path,
 )
 
 
-@dataclass(frozen=True)
-class SubpathGuess:
-    """One realized guess: junction set Q and per-pair budgets over Q'.
-
-    ``budgets`` maps unordered vertex pairs over Q' = Q + all demand
-    endpoints to hop budgets (or, in the unit-cost variant, cost budgets).
-    """
-
-    q_vertices: frozenset[int]
-    budgets: dict[tuple[int, int], int]
-
-    def validate(self, p: int) -> None:
-        if len(self.q_vertices) > p * (p - 1):
-            raise ValueError("junction set exceeds p(p-1) vertices")
-        for (u, v), b in self.budgets.items():
-            if u == v:
-                raise ValueError("budget pair with equal endpoints")
-            if b < 1:
-                raise ValueError("budgets must be at least 1")
+def _distance_table(graph: WeightedGraph, weight: list, zero) -> list[list]:
+    """Shortest distances from every source, one Dijkstra per source."""
+    adj = adjacency(graph, range(graph.edge_count), weight)
+    table = []
+    for source in range(graph.vertex_count):
+        dist, _ = dijkstra(adj, {source: zero})
+        table.append([dist.get(v) for v in range(graph.vertex_count)])
+    return table
 
 
-def hop_distances(graph: WeightedGraph, source: int) -> list[Optional[int]]:
-    """Unweighted BFS hop counts from source (None if unreachable)."""
-    dist: list[Optional[int]] = [None] * graph.vertex_count
-    dist[source] = 0
-    queue = [source]
-    while queue:
-        nxt = []
-        for v in queue:
-            for idx in graph.incident(v):
-                w = graph.edges[idx].other(v)
-                if dist[w] is None:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        queue = nxt
-    return dist
+def hop_distances(graph: WeightedGraph) -> list[list[Optional[int]]]:
+    """Hop counts, ``table[source][v]`` (None if unreachable)."""
+    return _distance_table(graph, [1] * graph.edge_count, 0)
 
 
-def length_distances(graph: WeightedGraph, source: int) -> list[Optional[Fraction]]:
-    """Exact shortest path lengths from source (None if unreachable)."""
-    dist: list[Optional[Fraction]] = [None] * graph.vertex_count
-    dist[source] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
-    settled: set[int] = set()
-    while heap:
-        d, v = heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        for idx in graph.incident(v):
-            e = graph.edges[idx]
-            w = e.other(v)
-            nd = d + e.length
-            if dist[w] is None or nd < dist[w]:
-                dist[w] = nd
-                heappush(heap, (nd, w))
-    for v in range(graph.vertex_count):
-        if v not in settled:
-            dist[v] = None
-    dist[source] = Fraction(0)
-    return dist
+def length_distances(graph: WeightedGraph) -> list[list[Optional[Fraction]]]:
+    """Exact shortest path lengths, ``table[source][v]`` (None if unreachable)."""
+    return _distance_table(graph, [e.length for e in graph.edges], Fraction(0))
 
 
 def shortest_length_under_edge_budget(
@@ -116,45 +75,12 @@ def shortest_length_under_edge_budget(
 ) -> Optional[Path]:
     """Shortest-length u-v path using at most edge_budget edges.
 
-    The dual Bellman-Ford: levels count edges, values are exact lengths.
+    The dual of ``restricted_min_cost_path``: levels count edges, values
+    are exact lengths.  See ``core.hop_bounded_path``.
     """
     if edge_budget < 0:
         raise ValueError("edge_budget must be nonnegative")
-    n = graph.vertex_count
-    edge_budget = min(edge_budget, max(n - 1, 0))
-    dp: list[Optional[Fraction]] = [None] * n
-    dp[u] = Fraction(0)
-    levels = [list(dp)]
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    for h in range(1, edge_budget + 1):
-        prev = levels[-1]
-        cur = list(prev)
-        for idx, e in enumerate(graph.edges):
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                if prev[a] is not None:
-                    nl = prev[a] + e.length
-                    if cur[b] is None or nl < cur[b]:
-                        cur[b] = nl
-                        parent[(h, b)] = (a, idx)
-        if cur == prev:
-            break
-        levels.append(cur)
-    if levels[-1][v] is None:
-        return None
-    h = len(levels) - 1
-    w = v
-    vertices = [v]
-    edge_seq: list[int] = []
-    while h > 0:
-        if (h, w) in parent and levels[h][w] != levels[h - 1][w]:
-            a, idx = parent[(h, w)]
-            edge_seq.append(idx)
-            vertices.append(a)
-            w = a
-        h -= 1
-    vertices.reverse()
-    edge_seq.reverse()
-    return Path.from_edge_sequence(graph, vertices, edge_seq)
+    return hop_bounded_path(graph, u, v, edge_budget, [e.length for e in graph.edges])
 
 
 @dataclass(frozen=True)
@@ -255,42 +181,29 @@ def _enumerate_chains(
 def _search_best_union(
     instance: SlsnInstance,
     chain_lists: list[list[_Chain]],
-) -> Optional[tuple[frozenset[int], dict[tuple[int, int], int], frozenset[int]]]:
+) -> Optional[frozenset[int]]:
     """Depth-first join of per-demand chains with cost-bound pruning.
 
-    Returns (edge union, pair->budget map, junction vertex set) of the
-    cheapest feasible combination, or None.  Combinations where some
-    non-terminal intermediate appears in a single chain are skipped: a
-    junction is by definition shared between two paths, so the optimal
-    canonical guess never needs one.
+    Returns the edge union of the cheapest feasible combination, or None.
+    Combinations where some non-terminal intermediate appears in a single
+    chain are skipped: a junction is by definition shared between two
+    paths, so the optimal canonical guess never needs one.
     """
     graph = instance.graph
     terminals = instance.demands.vertices()
     edge_cost = [e.cost for e in graph.edges]
-    best: dict = {"cost": None, "edges": None, "budgets": None, "q": None}
+    best: dict = {"cost": None, "edges": None}
 
-    def accept(
-        cost: Fraction,
-        union: frozenset[int],
-        budgets: dict[tuple[int, int], int],
-        inters: list[frozenset[int]],
-    ) -> None:
+    def accept(cost: Fraction, union: frozenset[int], inters: list[frozenset[int]]) -> None:
         counts = Counter(w for s_ in inters for w in s_)
-        q = set()
-        for s_ in inters:
-            for w in s_:
-                if w not in terminals:
-                    if counts[w] < 2:
-                        return  # junction used by one path only: never canonical
-                    q.add(w)
+        if any(n < 2 for w, n in counts.items() if w not in terminals):
+            return  # junction used by one path only: never canonical
         # Explicit feasibility test, kept even for the unit-length variant
         # where honest chain construction already implies it.
         if not feasibility_check(instance, union).feasible:
             return
         best["cost"] = cost
         best["edges"] = union
-        best["budgets"] = dict(budgets)
-        best["q"] = frozenset(q)
 
     def rec(
         i: int,
@@ -302,7 +215,7 @@ def _search_best_union(
         if best["cost"] is not None and cost >= best["cost"]:
             return
         if i == len(chain_lists):
-            accept(cost, union, budgets, inters)
+            accept(cost, union, inters)
             return
         for chain in chain_lists[i]:
             if best["cost"] is not None and chain.cost >= best["cost"]:
@@ -323,9 +236,7 @@ def _search_best_union(
             rec(i + 1, new_budgets, inters + [chain.intermediates], union | added, new_cost)
 
     rec(0, {}, [], frozenset(), Fraction(0))
-    if best["edges"] is None:
-        return None
-    return best["edges"], best["budgets"], best["q"]
+    return best["edges"]
 
 
 def _finish(instance: SlsnInstance, union: frozenset[int]) -> Solution:
@@ -354,7 +265,7 @@ def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:
     hop_budget = min(int(instance.L), max(graph.vertex_count - 1, 0))
     if hop_budget < 1:
         return None
-    hops = [hop_distances(graph, v) for v in range(graph.vertex_count)]
+    hops = hop_distances(graph)
     path_memo: dict[tuple[int, int, int], Optional[Path]] = {}
 
     def seg_min(a: int, b: int) -> Optional[int]:
@@ -373,12 +284,9 @@ def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:
     ]
     if any(not lst for lst in chain_lists):
         return None
-    found = _search_best_union(instance, chain_lists)
-    if found is None:
+    union = _search_best_union(instance, chain_lists)
+    if union is None:
         return None
-    union, budgets, q = found
-    guess = SubpathGuess(q, budgets)
-    guess.validate(p)
     return _finish(instance, union)
 
 
@@ -397,8 +305,8 @@ def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
     cost_budget = max(n - 1, 0)  # simple paths use at most n-1 edges
     if cost_budget < 1:
         return None
-    hops = [hop_distances(graph, v) for v in range(n)]
-    lengths = [length_distances(graph, v) for v in range(n)]
+    hops = hop_distances(graph)
+    lengths = length_distances(graph)
     path_memo: dict[tuple[int, int, int], Optional[Path]] = {}
 
     def seg_min(a: int, b: int) -> Optional[int]:
@@ -439,10 +347,7 @@ def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
         if feasibility_check(instance, range(graph.edge_count)).feasible:
             raise AssertionError("feasible instance but no admissible chains")
         return None
-    found = _search_best_union(instance, chain_lists)
-    if found is None:
+    union = _search_best_union(instance, chain_lists)
+    if union is None:
         return None
-    union, budgets, q = found
-    guess = SubpathGuess(q, budgets)
-    guess.validate(p)
     return _finish(instance, union)

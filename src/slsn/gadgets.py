@@ -127,7 +127,6 @@ class _BaseGadget:
     keys: list[tuple]  # family-specific key per edge
     demands: list[tuple[int, int]]
     demand_origins: list[tuple]  # (kind, data) per demand
-    g_unit: Fraction
     mcc: MccInstance
     # case 6 bookkeeping
     pattern_edge_count: int = 0  # |H^(t)|; equals len(demands) for pure cases
@@ -171,7 +170,6 @@ def _new_base(case_tag: HardCase, k: int, L: int, mcc: MccInstance) -> _BaseGadg
         keys=[],
         demands=[],
         demand_origins=[],
-        g_unit=Fraction(0),
         mcc=mcc,
     )
 
@@ -299,7 +297,6 @@ def _star_case_base(mcc: MccInstance, case_tag: HardCase) -> _BaseGadget:
     if case_tag is HardCase.H_K2_STAR:
         base.demands.append((r, base.vertex("y", k)))
         base.demand_origins.append(("ryk", None))
-    base.g_unit = g_value_of(case_tag, k, None, CostFlavor.UNIT)
     base.pattern_edge_count = len(base.demands)
     return base
 
@@ -333,7 +330,6 @@ def build_case4(mcc: MccInstance) -> GadgetBundle:
         base.demand_origins.append(("match", (i, j)))
     base.demands.append((base.vertex("y", 0), base.vertex("y", k)))
     base.demand_origins.append(("ypath", None))
-    base.g_unit = g_value_of(HardCase.H_KK, k, None, CostFlavor.UNIT)
     base.pattern_edge_count = len(base.demands)
     return _finalize(base, CostFlavor.UNIT, None)
 
@@ -447,18 +443,15 @@ def build_case5(
         base.demand_origins.append(("bip1", (i, j)))
         base.demands.append((r2, base.vertex("l", (i, j))))
         base.demand_origins.append(("bip2", (i, j)))
-    r_edge = False
     for a, b in H.pairs:
         if {a, b} == {r1_h, r2_h}:
             base.demands.append((r1, r2))
             base.demand_origins.append(("r1r2", None))
-            r_edge = True
         elif a in big_slot and b in big_slot:
             pa, pb = sorted((big_slot[a], big_slot[b]))
             base.demands.append((base.vertex("l", pa), base.vertex("l", pb)))
             base.demand_origins.append(("ll", (pa, pb)))
         # side-big pairs are already in the biclique demands
-    base.g_unit = _case5_g(k, H.size, r_edge, CostFlavor.UNIT)
     base.pattern_edge_count = len(base.demands)
     return _finalize(base, CostFlavor.UNIT, None)
 
@@ -516,7 +509,6 @@ def build_general(
         base.demands.append((h_to_base[a], h_to_base[b]))
         base.demand_origins.append(("extra", key))
     base.extra_demand_count = extra
-    base.g_unit = base.g_unit + base.L * extra
     return _finalize(base, CostFlavor.UNIT, None)
 
 
@@ -688,7 +680,6 @@ def g_value_of(
     k: int,
     H: Optional[DemandGraph] = None,
     cost_flavor: CostFlavor = CostFlavor.UNIT,
-    eps: Optional[Fraction] = None,
 ) -> Fraction:
     """Exact threshold value per case; Case 5 needs H for its edge count.
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Optional
 
 from .core import (
     SlsnInstance,
     Solution,
     canonical_path_assignment,
+    dijkstra,
     feasibility_check,
 )
 
@@ -108,16 +108,17 @@ def _fill_dst_table(
     reaching the terminal subset encoded by mask.
 
     Masks are filled in increasing order.  For each mask, subset splits
-    f(v, R') + f(v, R \\ R') seed a Dijkstra pass that relaxes
-    f(v, R) <= cost(v->u) + f(u, R) backward along every arc.
+    f(v, R') + f(v, R \\ R') seed a Dijkstra pass over the reversed arcs,
+    relaxing f(v, R) <= cost(v->u) + f(u, R).
     """
     n = dst.vertex_count
     terminals = tuple(dict.fromkeys(dst.terminals))  # dedupe, keep order
     p = len(terminals)
     full = (1 << p) - 1
+    # arcs reversed, as adjacency lists: in_arcs[head] = [(tail, idx, cost)]
     in_arcs: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
     for idx, (a, b, c) in enumerate(dst.arcs):
-        in_arcs[b].append((idx, a, c))
+        in_arcs[b].append((a, idx, c))
 
     # choice[(mask, v)] = ("arc", idx, u) | ("split", m1, m2)
     f: list[list[Optional[Fraction]]] = [[None] * n for _ in range(full + 1)]
@@ -141,22 +142,12 @@ def _fill_dst_table(
                             row[v] = cand
                             choice[(mask, v)] = ("split", sub, other)
             sub = (sub - 1) & mask
-        heap: list[tuple[Fraction, int]] = [
-            (row[v], v) for v in range(n) if row[v] is not None
-        ]
-        heap.sort()
-        settled: set[int] = set()
-        while heap:
-            d, u = heappop(heap)
-            if u in settled or d > row[u]:
-                continue
-            settled.add(u)
-            for idx, v, c in in_arcs[u]:
-                cand = d + c
-                if row[v] is None or cand < row[v]:
-                    row[v] = cand
-                    choice[(mask, v)] = ("arc", idx, u)
-                    heappush(heap, (cand, v))
+        seeds = {v: d for v, d in enumerate(row) if d is not None}
+        dist, parent = dijkstra(in_arcs, seeds)
+        for v, d in dist.items():
+            row[v] = d
+        for v, (u, idx) in parent.items():
+            choice[(mask, v)] = ("arc", idx, u)
     return terminals, f, choice
 
 

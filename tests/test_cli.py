@@ -193,3 +193,20 @@ def test_parse_error_exit_code(capsys, tmp_path):
     bad.write_text("not an instance\n")
     code = dispatch(["solve", str(bad)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("slsn 1\n2 1 1\n1/0\n0 1 1 1\n0 1\n", []),
+        ("slsn 1\n2 1 1\n1\n0 1 1/0 1\n0 1\n", []),
+        (TRI, ["--approx-const", "--eps", "1/0"]),
+    ],
+    ids=["L", "length", "eps"],
+)
+def test_zero_denominator_is_an_error_line(capsys, tmp_path, text, flags):
+    inst = tmp_path / "zero.slsn"
+    inst.write_text(text)
+    code = dispatch(["solve", str(inst), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -90,24 +90,35 @@ class TestFeasibility:
             feasibility_check(inst, {99})
 
     def test_matches_exhaustive_enumeration(self, rng):
-        # full subset sweep against simple-path enumeration, m <= 12
-        for _ in range(25):
+        # full subset sweep against simple-path enumeration, m <= 8; odd
+        # trials are multi-demand stars rooted at their largest vertex, so
+        # the root is the larger endpoint of every pair
+        for trial in range(50):
             n = rng.randint(3, 6)
             maxm = n * (n - 1) // 2
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             rng.shuffle(pairs)
             m = rng.randint(1, min(8, maxm))
             g = WeightedGraph(n, [(u, v, 1, 1) for u, v in pairs[:m]])
-            s, t = rng.sample(range(n), 2)
+            if trial % 2:
+                leaves = rng.sample(range(n - 1), rng.randint(2, n - 1))
+                demands = [(v, n - 1) for v in leaves]
+            else:
+                demands = [tuple(rng.sample(range(n), 2))]
             L = rng.randint(1, 3)
-            inst = make_instance(g, L, [(s, t)])
+            inst = make_instance(g, L, demands)
             for mask in range(1 << m):
                 subset = {i for i in range(m) if mask >> i & 1}
                 sub = WeightedGraph(
                     n, [(g.edges[i].u, g.edges[i].v, 1, 1) for i in sorted(subset)]
                 )
-                ok = any(ln <= L for _, _, ln, _ in all_simple_paths(sub, s, t))
-                assert feasibility_check(inst, subset).feasible == ok
+                lengths = [
+                    min((ln for _, _, ln, _ in all_simple_paths(sub, s, t)), default=None)
+                    for s, t in inst.demands.pairs
+                ]
+                rep = feasibility_check(inst, subset)
+                assert [d.length for d in rep.per_demand] == lengths
+                assert rep.feasible == all(ln is not None and ln <= L for ln in lengths)
 
 
 class TestRestrictedMinCostPath:
@@ -276,6 +287,40 @@ class TestCanonicalPathAssignment:
             for path in paths:
                 assert len(set(path.vertices)) == len(path.vertices)
                 assert path.length <= inst.L
+
+    def test_matches_reference_order(self, rng):
+        # each path is the minimum of (length, sum of 2^-(idx+1)) over all
+        # simple s-t paths in the subset; parallel equal-length edges and
+        # rational lengths make the tie-break decide, and half the trials
+        # are stars rooted at their largest vertex
+        for trial in range(80):
+            n = rng.randint(2, 6)
+            edges = []
+            for _ in range(rng.randint(1, 9)):
+                u, v = rng.sample(range(n), 2)
+                length = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                edges.append((u, v, length, 1))
+                if rng.random() < 0.4:
+                    edges.append((u, v, length, 1))
+            g = WeightedGraph(n, edges)
+            if trial % 2 and n > 2:
+                leaves = rng.sample(range(n - 1), rng.randint(2, n - 1))
+                demands = [(v, n - 1) for v in leaves]
+            else:
+                pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+                demands = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+            inst = make_instance(g, 100, demands)
+            subset = {i for i in range(g.edge_count) if rng.random() < 0.8}
+            if not feasibility_check(inst, subset).feasible:
+                continue
+            paths = canonical_path_assignment(inst, subset)
+            for (s, t), path in zip(inst.demands.pairs, paths):
+                ref = min(
+                    (ln, sum(Fraction(1, 2 ** (i + 1)) for i in es), es, vs)
+                    for vs, es, ln, _ in all_simple_paths(g, s, t)
+                    if set(es) <= subset
+                )
+                assert (path.edges, path.vertices) == (ref[2], ref[3])
 
 
 def _pairwise_consistent(paths):

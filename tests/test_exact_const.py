@@ -10,24 +10,11 @@ from slsn.core import (
     canonical_path_assignment,
     feasibility_check,
 )
-from slsn.exact_const import (
-    SubpathGuess,
-    solve_unit_cost,
-    solve_unit_length,
-)
+from slsn.exact_const import solve_unit_cost, solve_unit_length
 from slsn.generators import random_instance, random_unit_cost_instance
 from slsn.oracle import brute_force_slsn
 
 from conftest import make_instance
-
-
-class TestSubpathGuess:
-    def test_validate_bounds(self):
-        SubpathGuess(frozenset({3}), {(0, 3): 2, (3, 1): 1}).validate(2)
-        with pytest.raises(ValueError):
-            SubpathGuess(frozenset({2, 3, 4}), {}).validate(1)  # |Q| > p(p-1)
-        with pytest.raises(ValueError):
-            SubpathGuess(frozenset(), {(0, 1): 0}).validate(2)
 
 
 class TestSolveUnitLength:
