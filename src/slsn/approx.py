@@ -8,11 +8,12 @@ Four pieces, used together:
     exact scaled cost i is filled for i up to floor(n/eps); the best entry
     over all i is returned.  If any s-t path has cost at most (1-2*eps)*C
     and length D, the returned path costs at most C and is no longer than D.
-  - approx_const: the constant-demand FPTAS.  Same subpath-guess skeleton
-    as the exact unit-length solver, but each guessed subpath carries a
-    guessed cost scale (1+eps')^{c'} * C rather than a hop budget, resolved
-    through min_dist.  eps' = eps/4 internally, so the overall ratio is
-    (1+eps); feasibility is never relaxed.
+  - approx_const: the constant-demand FPTAS.  It runs the exact solvers'
+    chain search (exact_const._enumerate_chains and _search_best_union),
+    but each guessed subpath carries a guessed cost scale (1+eps')^{c'} * C
+    rather than a hop budget, resolved through min_dist.  eps' = eps/4
+    internally, so the overall ratio is (1+eps); feasibility is never
+    relaxed.
   - approx_star: the star (1+eps) solver.  A Dreyfus-Wagner style program
     over (root vertex, terminal subset) computes, per scaled-cost budget,
     the smallest achievable tree height; the cheapest budget whose height
@@ -26,9 +27,10 @@ integers over a common denominator) and scaled costs are exact integers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Path,
@@ -37,12 +39,13 @@ from .core import (
     WeightedGraph,
     adjacency,
     as_integers,
-    canonical_path_assignment,
     dijkstra,
     feasibility_check,
 )
 from .exact_const import (
-    _Chain,
+    _enumerate_chains,
+    _finish,
+    _fits,
     _search_best_union,
     length_distances,
 )
@@ -71,6 +74,11 @@ def opt_low(instance: SlsnInstance) -> Optional[CostBounds]:
         if feasibility_check(instance, subset).feasible:
             return CostBounds(c)
     return None
+
+
+def _zero_cost_edges(graph: WeightedGraph) -> set[int]:
+    """The edges of cost 0: the subgraph opt_low tests when it returns C = 0."""
+    return {idx for idx, e in enumerate(graph.edges) if e.cost == 0}
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -242,11 +250,12 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
 
     Feasibility is exact; only cost is approximate.  Internally runs with
     eps/4 (the analysis of the guessed-scale iteration loses a factor
-    (1+4*eps')).  Same chain-guess skeleton as the exact solver: per
-    demand, a sequence of junction vertices; per consecutive pair, one
-    guessed cost scale resolved through min_dist.  Guesses sharing a pair
-    must agree on its scale.  Every candidate union is feasibility-checked
+    (1+4*eps')).  The exact solvers' chain search: per demand, a sequence
+    of junction vertices; per consecutive pair, one of the distinct paths
+    min_dist finds over the guessed cost scales.  Guesses sharing a pair
+    must agree on its path.  Every candidate union is feasibility-checked
     exactly, so the output is always feasible and costs at most (1+eps)OPT.
+    When zero-cost edges alone are feasible (C = 0) they are returned.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -260,6 +269,8 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
     bounds = opt_low(instance)
     if bounds is None:
         return None
+    if bounds.C == 0:
+        return _finish(instance, _zero_cost_edges(graph))  # feasible at cost 0
     C = bounds.C
     eps_i = eps / 4
     n = graph.vertex_count
@@ -286,91 +297,43 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
             tables[key] = _MinDistTable(graph, source, vec, budget)
         return tables[key]
 
-    # options[pair] = list of (edge frozenset, cost, length) distinct paths
-    options: dict[tuple[int, int], list[tuple[frozenset[int], Fraction, Fraction]]] = {}
+    # options[pair]: the distinct paths found for the pair, as edge sets
+    options: dict[tuple[int, int], list[frozenset[int]]] = {}
 
-    def options_for(pair: tuple[int, int]) -> list:
+    def options_for(pair: tuple[int, int]) -> list[frozenset[int]]:
         if pair not in options:
-            seen: dict[frozenset[int], Path] = {}
-            order: list[frozenset[int]] = []
+            found: dict[frozenset[int], None] = {}
             for vec in vectors:
                 path = table_for(vec, pair[0]).path(pair[1])
-                if path is not None and frozenset(path.edges) not in seen:
-                    key = frozenset(path.edges)
-                    seen[key] = path
-                    order.append(key)
-            options[pair] = [(key, seen[key].cost, seen[key].length) for key in order]
+                if path is not None:
+                    found.setdefault(frozenset(path.edges), None)
+            options[pair] = list(found)
         return options[pair]
 
     dists = length_distances(graph)
-    max_inter = 2 * (p - 1)
 
-    def chains_for(s: int, t: int) -> list[_Chain]:
-        pool = [w for w in range(n) if w != s and w != t]
-        chains: list[_Chain] = []
+    def guesses(seq: tuple[int, ...]) -> Iterator[tuple]:
+        if not _fits(dists, seq, instance.L):
+            return  # even the shortest segments cannot meet L jointly
+        per_seg = []
+        for a, b in zip(seq, seq[1:]):
+            pair = (min(a, b), max(a, b))
+            opts = options_for(pair)
+            if not opts:
+                return  # later pairs would only build more tables
+            per_seg.append([((pair, oid), edges) for oid, edges in enumerate(opts)])
+        yield from itertools.product(*per_seg)
 
-        def emit(seq: list[int]) -> None:
-            total = Fraction(0)
-            for a, b in zip(seq, seq[1:]):
-                d = dists[a][b]
-                if d is None:
-                    return
-                total += d
-            if total > instance.L:
-                return  # even the shortest segments cannot meet L jointly
-            per_seg = []
-            for a, b in zip(seq, seq[1:]):
-                pair = (min(a, b), max(a, b))
-                opts = options_for(pair)
-                if not opts:
-                    return
-                per_seg.append((pair, opts))
-
-            def assemble(pos: int, acc: list[tuple[tuple[int, int], int]]) -> None:
-                if pos == len(per_seg):
-                    edges: set[int] = set()
-                    for pair, oid in acc:
-                        edges.update(options[pair][oid][0])
-                    chains.append(
-                        _Chain(
-                            tuple(seq),
-                            tuple(acc),
-                            frozenset(edges),
-                            graph.total_cost(edges),
-                            frozenset(seq[1:-1]),
-                        )
-                    )
-                    return
-                pair, opts = per_seg[pos]
-                for oid in range(len(opts)):
-                    acc.append((pair, oid))
-                    assemble(pos + 1, acc)
-                    acc.pop()
-
-            assemble(0, [])
-
-        def build(seq: list[int], depth: int) -> None:
-            emit(seq + [t])
-            if depth == max_inter:
-                return
-            for w in pool:
-                if w not in seq:
-                    seq.append(w)
-                    build(seq, depth + 1)
-                    seq.pop()
-
-        build([s], 0)
-        chains.sort(key=lambda c: (c.cost, c.sequence, c.items))
-        return chains
-
-    chain_lists = [chains_for(s, t) for s, t in instance.demands.pairs]
+    chain_lists = [
+        _enumerate_chains(graph, s, t, 2 * (p - 1), dists, guesses)
+        for s, t in instance.demands.pairs
+    ]
     if any(not lst for lst in chain_lists):
         return None
     union = _search_best_union(instance, chain_lists)
     if union is None:
         return None
-    paths = canonical_path_assignment(instance, union)
-    return Solution.build(instance, union, paths)
+    return _finish(instance, union)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +498,8 @@ def approx_star(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
     """(1+eps)-approximation for star demands with arbitrary lengths/costs.
 
     The output is a tree rooted at the star root with height at most L
-    (so feasibility is exact) and original cost at most (1+eps)*OPT.
+    (so feasibility is exact) and original cost at most (1+eps)*OPT.  When
+    zero-cost edges alone are feasible (C = 0) the tree is taken from them.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -548,29 +512,26 @@ def approx_star(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
     bounds = opt_low(instance)
     if bounds is None:
         return None
-    table = build_height_table(instance, eps, bounds.C)
     graph = instance.graph
-    terminals = table.terminals
-    full = (1 << len(terminals)) - 1
-    chosen = None
-    for entry in table.frontier(root, full):
-        if entry.height <= instance.L:
-            chosen = entry  # frontier sorted by height; max height <= L wins min cost
-    if chosen is None or chosen.cost > table.budget_cap:
-        return None
-    union: set[int] = set()
-    _collect_edges(chosen, union)
+    if bounds.C == 0:
+        union = _zero_cost_edges(graph)  # feasible at cost 0, so optimal
+    else:
+        table = build_height_table(instance, eps, bounds.C)
+        full = (1 << len(table.terminals)) - 1
+        chosen = None
+        for entry in table.frontier(root, full):
+            if entry.height <= instance.L:
+                chosen = entry  # frontier sorted by height; max height <= L wins min cost
+        if chosen is None or chosen.cost > table.budget_cap:
+            return None
+        union = set()
+        _collect_edges(chosen, union)
 
     # The reconstructed halves of splits may overlap; take the cheapest
     # shortest-path tree inside the union and prune non-terminal leaves,
     # which keeps every root-terminal distance and can only reduce cost.
     tree = _shortest_path_tree(graph, union, root)
-    tree = _prune_leaves(graph, tree, set(terminals) | {root})
-    report = feasibility_check(instance, tree)
-    if not report.feasible:
-        raise AssertionError("star approximation lost feasibility")
-    paths = canonical_path_assignment(instance, tree)
-    return Solution.build(instance, tree, paths)
+    return _finish(instance, _prune_leaves(graph, tree, instance.demands.vertices()))
 
 
 def _shortest_path_tree(graph: WeightedGraph, union: set[int], root: int) -> set[int]:

@@ -49,7 +49,6 @@ def _report(
     command: str,
     solver: Optional[str],
     solution: Optional[Solution],
-    instance: Optional[SlsnInstance],
     ratio_bound: Optional[str] = None,
     wall_time: Optional[float] = None,
     extra: Optional[dict] = None,
@@ -63,12 +62,9 @@ def _report(
         report["feasible"] = False
     if ratio_bound is not None:
         report["ratio_bound"] = ratio_bound
-    if instance is not None and solution is not None:
-        lengths = feasibility_check(instance, solution.edge_subset)
-        report["demand_lengths"] = [
-            format_rational(d.length) if d.length is not None else None
-            for d in lengths.per_demand
-        ]
+    if solution is not None:
+        # witness paths come from canonical_path_assignment: shortest in the subset
+        report["demand_lengths"] = [format_rational(p.length) for p in solution.witness_paths]
     if wall_time is not None:
         report["wall_time_s"] = round(wall_time, 6)
     if extra:
@@ -189,7 +185,6 @@ def _cmd_solve(args) -> int:
         "solve",
         solver,
         solution,
-        instance,
         ratio_bound=ratio,
         wall_time=wall if args.timing else None,
         extra=extra,
@@ -321,9 +316,7 @@ def _cmd_oracle(args) -> int:
     if args.what == "slsn":
         instance = load_instance(args.instance)
         solution = oracle.brute_force_slsn(instance, budget)
-        _emit(
-            _report("oracle slsn", "brute-force", solution, instance)
-        )
+        _emit(_report("oracle slsn", "brute-force", solution))
         return EXIT_OK if solution is not None else EXIT_INFEASIBLE
     if args.what == "path":
         instance = load_instance(args.instance)
@@ -358,38 +351,33 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+# bench suite -> (instance generator, solver, solver name)
+_BENCH_SUITES = {
+    "exact": (random_instance, exact_const.solve_unit_length, "exact-const"),
+    "star": (
+        lambda rng: random_instance(rng, star=True),
+        star_dst.solve_slst,
+        "star-dst",
+    ),
+    "unit-cost": (random_unit_cost_instance, exact_const.solve_unit_cost, "unit-cost"),
+    "approx": (
+        lambda rng: random_instance(rng, length_kind="rational", L_range=(2, 8)),
+        lambda inst: approx.approx_const(inst, Fraction(1, 4)),
+        "approx-const",
+    ),
+}
+
+
 def _bench_rows(suite: str, trials: int, seed: int) -> list[dict]:
+    generate, solve, solver = _BENCH_SUITES[suite]
     rng = random.Random(seed)
     rows = []
     for trial in range(trials):
-        if suite == "exact":
-            inst = random_instance(rng)
-            t0 = time.monotonic()
-            sol = exact_const.solve_unit_length(inst)
-            wall = time.monotonic() - t0
-            ref = oracle.brute_force_slsn(inst)
-            solver = "exact-const"
-        elif suite == "star":
-            inst = random_instance(rng, star=True)
-            t0 = time.monotonic()
-            sol = star_dst.solve_slst(inst)
-            wall = time.monotonic() - t0
-            ref = oracle.brute_force_slsn(inst)
-            solver = "star-dst"
-        elif suite == "unit-cost":
-            inst = random_unit_cost_instance(rng)
-            t0 = time.monotonic()
-            sol = exact_const.solve_unit_cost(inst)
-            wall = time.monotonic() - t0
-            ref = oracle.brute_force_slsn(inst)
-            solver = "unit-cost"
-        else:
-            inst = random_instance(rng, length_kind="rational", L_range=(2, 8))
-            t0 = time.monotonic()
-            sol = approx.approx_const(inst, Fraction(1, 4))
-            wall = time.monotonic() - t0
-            ref = oracle.brute_force_slsn(inst)
-            solver = "approx-const"
+        inst = generate(rng)
+        t0 = time.monotonic()
+        sol = solve(inst)
+        wall = time.monotonic() - t0
+        ref = oracle.brute_force_slsn(inst)
         rows.append(
             {
                 "suite": suite,

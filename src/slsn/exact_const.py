@@ -23,6 +23,13 @@ surviving unions are feasibility-checked and costed exactly, so the
 returned cost equals the optimum whenever the optimal guess is enumerated,
 which the decomposition above guarantees.
 
+One search serves all three constant-demand solvers: _enumerate_chains
+walks the junction sequences and asks a per-solver guess function for the
+segment guesses of each; _search_best_union joins the chains.  Both exact
+variants guess budgets through _budget_guesses (solve_unit_cost first drops
+sequences whose shortest segment lengths already exceed L), and
+approx.approx_const guesses min-dist paths.
+
 Runtime is n^O(p^4) as for the plain guess loops; in practice the search is
 driven by cost-bound pruning (a partial union at or above the incumbent
 cost can be abandoned, since union cost only grows).
@@ -34,7 +41,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     Path,
@@ -85,97 +92,117 @@ def shortest_length_under_edge_budget(
 
 @dataclass(frozen=True)
 class _Chain:
-    """One demand's guess: intermediates plus a budget per segment."""
+    """One demand's guess: intermediates plus one guessed item per segment."""
 
     sequence: tuple[int, ...]  # s, intermediates..., t
-    items: tuple[tuple[tuple[int, int], int], ...]  # ((u,v) sorted, budget)
+    items: tuple[tuple[tuple[int, int], int], ...]  # ((u,v) sorted, guess)
     edges: frozenset[int]  # union of the segment paths
     cost: Fraction
     intermediates: frozenset[int]
 
 
+# A segment guess: ((u, v) sorted, guessed budget or option) plus its path edges.
+_Guess = tuple[tuple[tuple[int, int], int], Iterable[int]]
+
+
 def _enumerate_chains(
-    instance: SlsnInstance,
+    graph: WeightedGraph,
     s: int,
     t: int,
     max_intermediates: int,
-    total_budget: int,
-    seg_min: Callable[[int, int], Optional[int]],
-    seg_path: Callable[[int, int, int], Optional[Path]],
+    hops: list[list],
+    guesses: Callable[[tuple[int, ...]], Iterator[tuple[_Guess, ...]]],
 ) -> list[_Chain]:
-    """All honest chains for one demand, cheapest first.
+    """All chains for one demand, cheapest first.
 
-    seg_min gives the smallest admissible budget for a pair (None when no
-    path can ever exist); seg_path resolves a (u, v, budget) segment.
+    A sequence is s, up to max_intermediates distinct vertices, then t; a
+    vertex is appended only when hops[last][vertex] is not None (any
+    distance table of the graph serves).  guesses(sequence) yields the
+    sequence's admissible guesses, each one _Guess per segment, and every
+    guess becomes a chain.
     """
-    graph = instance.graph
     pool = [w for w in range(graph.vertex_count) if w != s and w != t]
     chains: list[_Chain] = []
 
-    def budgets_for(seq: list[int]) -> Iterator[tuple[int, ...]]:
-        mins = []
-        for a, b in zip(seq, seq[1:]):
-            lo = seg_min(a, b)
-            if lo is None:
-                return
-            mins.append(lo)
-        if sum(mins) > total_budget:
-            return
-        slack = total_budget - sum(mins)
-
-        def rec(pos: int, used_extra: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-            if pos == len(mins):
-                yield tuple(acc)
-                return
-            for extra in range(slack - used_extra + 1):
-                acc.append(mins[pos] + extra)
-                yield from rec(pos + 1, used_extra + extra, acc)
-                acc.pop()
-
-        yield from rec(0, 0, [])
-
-    def emit(seq: list[int]) -> None:
-        for budgets in budgets_for(seq):
-            items = []
-            edges: set[int] = set()
-            ok = True
-            for (a, b), budget in zip(zip(seq, seq[1:]), budgets):
-                pair = (min(a, b), max(a, b))
-                path = seg_path(a, b, budget)
-                if path is None:
-                    ok = False
-                    break
-                items.append((pair, budget))
-                edges.update(path.edges)
-            if not ok:
-                continue
+    def build(seq: list[int], depth: int) -> None:
+        sequence = (*seq, t)
+        for guess in guesses(sequence):
+            edges = frozenset().union(*(path for _, path in guess))
             chains.append(
                 _Chain(
-                    tuple(seq),
-                    tuple(items),
-                    frozenset(edges),
+                    sequence,
+                    tuple(item for item, _ in guess),
+                    edges,
                     graph.total_cost(edges),
-                    frozenset(seq[1:-1]),
+                    frozenset(seq[1:]),
                 )
             )
-
-    def build(seq: list[int], depth: int) -> None:
-        emit(seq + [t])
         if depth == max_intermediates:
             return
         for w in pool:
-            if w in seq:
-                continue
-            lo = seg_min(seq[-1], w)
-            if lo is None:
-                continue
-            seq.append(w)
-            build(seq, depth + 1)
-            seq.pop()
+            if w not in seq and hops[seq[-1]][w] is not None:
+                seq.append(w)
+                build(seq, depth + 1)
+                seq.pop()
 
     build([s], 0)
     chains.sort(key=lambda c: (c.cost, c.sequence, c.items))
     return chains
+
+
+def _fits(table: list[list], seq: tuple[int, ...], bound) -> bool:
+    """Distances along consecutive pairs of seq are all defined and sum to at most bound."""
+    total = 0
+    for a, b in zip(seq, seq[1:]):
+        if table[a][b] is None:
+            return False
+        total += table[a][b]
+    return total <= bound
+
+
+def _budget_guesses(
+    hops: list[list[Optional[int]]],
+    total_budget: int,
+    seg_path: Callable[[int, int, int], Optional[Path]],
+) -> Callable[[tuple[int, ...]], Iterator[tuple[_Guess, ...]]]:
+    """Guesses of one integer budget per segment, for ``_enumerate_chains``.
+
+    Each segment's budget is at least its hop distance and the budgets sum
+    to at most total_budget.  seg_path(u, v, budget), called with u < v and
+    memoised here, resolves a segment; a budget it leaves without a path
+    ends that branch.
+    """
+    memo: dict[tuple[int, int, int], Optional[Path]] = {}
+
+    def resolve(a: int, b: int, budget: int) -> Optional[Path]:
+        key = (min(a, b), max(a, b), budget)
+        if key not in memo:
+            memo[key] = seg_path(*key)
+        return memo[key]
+
+    def guesses(seq: tuple[int, ...]) -> Iterator[tuple[_Guess, ...]]:
+        if not _fits(hops, seq, total_budget):
+            return
+        pairs = list(zip(seq, seq[1:]))
+        acc: list[_Guess] = []
+
+        def rec(pos: int, slack: int) -> Iterator[tuple[_Guess, ...]]:
+            if pos == len(pairs):
+                yield tuple(acc)
+                return
+            a, b = pairs[pos]
+            lo = hops[a][b]
+            for budget in range(lo, lo + slack + 1):
+                path = resolve(a, b, budget)
+                if path is None:
+                    continue
+                acc.append((((min(a, b), max(a, b)), budget), path.edges))
+                yield from rec(pos + 1, slack - (budget - lo))
+                acc.pop()
+
+        yield from rec(0, total_budget - sum(hops[a][b] for a, b in pairs))
+
+    return guesses
 
 
 def _search_best_union(
@@ -266,20 +293,12 @@ def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:
     if hop_budget < 1:
         return None
     hops = hop_distances(graph)
-    path_memo: dict[tuple[int, int, int], Optional[Path]] = {}
-
-    def seg_min(a: int, b: int) -> Optional[int]:
-        return hops[a][b]
-
-    def seg_path(a: int, b: int, budget: int) -> Optional[Path]:
-        key = (min(a, b), max(a, b), budget)
-        if key not in path_memo:
-            path_memo[key] = restricted_min_cost_path(graph, key[0], key[1], budget)
-        return path_memo[key]
-
+    guesses = _budget_guesses(
+        hops, hop_budget, lambda u, v, budget: restricted_min_cost_path(graph, u, v, budget)
+    )
     max_inter = min(2 * (p - 1), hop_budget - 1)
     chain_lists = [
-        _enumerate_chains(instance, s, t, max_inter, hop_budget, seg_min, seg_path)
+        _enumerate_chains(graph, s, t, max_inter, hops, guesses)
         for s, t in instance.demands.pairs
     ]
     if any(not lst for lst in chain_lists):
@@ -307,42 +326,23 @@ def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
         return None
     hops = hop_distances(graph)
     lengths = length_distances(graph)
-    path_memo: dict[tuple[int, int, int], Optional[Path]] = {}
+    budgets = _budget_guesses(
+        hops,
+        cost_budget,
+        lambda u, v, budget: shortest_length_under_edge_budget(graph, u, v, budget),
+    )
 
-    def seg_min(a: int, b: int) -> Optional[int]:
-        return hops[a][b]
-
-    def seg_path(a: int, b: int, budget: int) -> Optional[Path]:
-        key = (min(a, b), max(a, b), budget)
-        if key not in path_memo:
-            path_memo[key] = shortest_length_under_edge_budget(
-                graph, key[0], key[1], budget
-            )
-        return path_memo[key]
+    def guesses(seq: tuple[int, ...]) -> Iterator[tuple[_Guess, ...]]:
+        # A sequence whose shortest segments cannot jointly meet L is
+        # useless: even with unbounded edge budgets it is too long.
+        if _fits(lengths, seq, instance.L):
+            yield from budgets(seq)
 
     max_inter = min(2 * (p - 1), cost_budget - 1)
-
-    def length_filtered_chains(s: int, t: int) -> list[_Chain]:
-        chains = _enumerate_chains(
-            instance, s, t, max_inter, cost_budget, seg_min, seg_path
-        )
-        kept = []
-        for chain in chains:
-            # A chain whose segments cannot jointly meet L is useless: even
-            # with unbounded cost budgets the concatenation is too long.
-            total = Fraction(0)
-            ok = True
-            for a, b in zip(chain.sequence, chain.sequence[1:]):
-                d = lengths[a][b]
-                if d is None:
-                    ok = False
-                    break
-                total += d
-            if ok and total <= instance.L:
-                kept.append(chain)
-        return kept
-
-    chain_lists = [length_filtered_chains(s, t) for s, t in instance.demands.pairs]
+    chain_lists = [
+        _enumerate_chains(graph, s, t, max_inter, hops, guesses)
+        for s, t in instance.demands.pairs
+    ]
     if any(not lst for lst in chain_lists):
         if feasibility_check(instance, range(graph.edge_count)).feasible:
             raise AssertionError("feasible instance but no admissible chains")

@@ -210,3 +210,21 @@ def test_zero_denominator_is_an_error_line(capsys, tmp_path, text, flags):
     code = dispatch(["solve", str(inst), *flags])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text, solver",
+    [
+        ("slsn 1\n4 3 2\n2\n0 1 1/2 0\n1 2 1 0\n2 3 1/2 0\n0 1\n2 3\n", "approx-const"),
+        ("slsn 1\n3 2 1\n2\n0 1 1/2 0\n1 2 1 0\n0 2\n", "approx-star"),
+    ],
+    ids=["two-demands", "single-demand"],
+)
+def test_zero_cost_optimum(capsys, tmp_path, text, solver):
+    # zero-cost edges alone are feasible, so opt_low's C is 0 and so is OPT
+    inst = tmp_path / "free.slsn"
+    inst.write_text(text)
+    code, out = run(capsys, ["solve", str(inst)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["solver"] == solver and report["cost"] == "0"

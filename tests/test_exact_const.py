@@ -13,6 +13,7 @@ from slsn.core import (
 from slsn.exact_const import solve_unit_cost, solve_unit_length
 from slsn.generators import random_instance, random_unit_cost_instance
 from slsn.oracle import brute_force_slsn
+from slsn.star_dst import solve_slst
 
 from conftest import make_instance
 
@@ -170,3 +171,41 @@ class TestSolveUnitCost:
             if mine is not None:
                 assert mine.total_cost == ref.total_cost
                 assert feasibility_check(inst, mine.edge_subset).feasible
+
+
+class TestCrossSolver:
+    """Beyond the oracle's 16-edge cap, the exact solvers must agree.
+
+    On unit lengths and unit costs both exact solvers apply: one guesses
+    hop budgets, the other edge budgets, through the same chain search.
+    Star demands add the layered-DST solver as a third opinion.
+    """
+
+    def test_unit_length_unit_cost_and_star_agree(self):
+        rng = random.Random(4004)
+        solved = 0
+        for trial in range(30):
+            n = rng.randint(7, 9)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(pairs)
+            m = rng.randint(17, min(24, len(pairs)))
+            graph = WeightedGraph(n, [(u, v, 1, 1) for u, v in pairs[:m]])
+            vertices = list(range(n))
+            rng.shuffle(vertices)
+            star = trial % 2 == 0
+            if star:
+                demands = [(vertices[0], t) for t in vertices[1 : rng.randint(2, 3)]]
+            else:
+                demands = [tuple(vertices[:2]), tuple(vertices[2:4])]
+            inst = make_instance(graph, rng.randint(1, 4), demands)
+            by_length = solve_unit_length(inst)
+            by_cost = solve_unit_cost(inst)
+            assert (by_length is None) == (by_cost is None)
+            if by_length is None:
+                continue
+            solved += 1
+            assert by_length.total_cost == by_cost.total_cost
+            assert feasibility_check(inst, by_cost.edge_subset).feasible
+            if star:
+                assert solve_slst(inst).total_cost == by_length.total_cost
+        assert solved >= 20
