@@ -5,9 +5,13 @@ Four pieces, used together:
     feasible.  C brackets the optimum: C <= OPT <= n^2 C.
   - min_dist: scaled-cost dynamic program.  Costs are rescaled to integers
     ceil(n*c(e)/(eps*C)) and a table d(v, i) of minimum path length at
-    exact scaled cost i is filled for i up to floor(n/eps); the best entry
-    over all i is returned.  If any s-t path has cost at most (1-2*eps)*C
-    and length D, the returned path costs at most C and is no longer than D.
+    exact scaled cost i is filled for i up to the budget floor(n/eps); the
+    best entry over all i is returned.  If any s-t path has cost at most
+    (1-2*eps)*C and length D, the returned path costs at most C and is no
+    longer than D.  An edge scaled above the budget is never relaxed, so
+    the table only depends on the costs clamped to budget + 1: approx_const
+    builds one table per distinct clamped vector, and most exponents of
+    its grid clamp every edge.
   - approx_const: the constant-demand FPTAS.  It runs the exact solvers'
     chain search (exact_const._enumerate_chains and _search_best_union),
     but each guessed subpath carries a guessed cost scale (1+eps')^{c'} * C
@@ -19,15 +23,20 @@ Four pieces, used together:
     the smallest achievable tree height; the cheapest budget whose height
     meets L is taken.  The table is represented sparsely as a Pareto
     frontier of (height, scaled cost) pairs per (vertex, subset), which is
-    exactly the height table read along its steps.
+    exactly the height table read along its steps.  Heights are integers
+    over D, the lcm of the length and L denominators, so the fill adds
+    and compares ints; HeightTable.query returns them as Fractions.
 
-All arithmetic is exact; lengths are compared as Fractions (internally as
-integers over a common denominator) and scaled costs are exact integers.
+All arithmetic is exact: lengths and heights are integers over a common
+denominator, converted back to Fractions at the API boundary, and scaled
+costs are exact integers.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -56,6 +65,10 @@ class CostBounds:
     """OptLow output: C <= OPT <= n^2 * C, and C is some edge's cost."""
 
     C: Fraction
+
+
+# Default of the solvers' ``bounds`` keyword: run opt_low on the instance.
+_RUN_OPT_LOW = object()
 
 
 def opt_low(instance: SlsnInstance) -> Optional[CostBounds]:
@@ -125,13 +138,28 @@ class _MinDistTable:
     Scaled costs of zero (possible when an edge costs 0) are relaxed to a
     fixpoint within each budget level; positive lengths guarantee that the
     level relaxation terminates and that optimal walks are simple.
+
+    An edge whose scaled cost exceeds the budget is never relaxed, so
+    replacing every such value by budget + 1 leaves the table, best() and
+    path() unchanged: the (n-1)*max_c cap on levels stays at or above the
+    budget either way.  Cost vectors that agree once clamped therefore
+    share one table.  Level i sweeps only the arcs of scaled cost 1..i, in
+    arc order, so ties go to the same arc as in a sweep over all arcs.
+    lengths are the edge lengths as integers over a common denominator
+    (core.as_integers), computed once by callers building many tables.
     """
 
-    def __init__(self, graph: WeightedGraph, source: int, scaled: tuple[int, ...], budget: int):
+    def __init__(
+        self,
+        graph: WeightedGraph,
+        source: int,
+        scaled: tuple[int, ...],
+        budget: int,
+        lengths: list[int],
+    ):
         self.graph = graph
         self.source = source
         self.scaled = scaled
-        lengths = as_integers([e.length for e in graph.edges])
         n = graph.vertex_count
         max_c = max(scaled, default=0)
         # No simple path carries exact scaled cost above (n-1)*max_c.
@@ -145,6 +173,14 @@ class _MinDistTable:
             arcs.append((e.u, e.v, idx))
             arcs.append((e.v, e.u, idx))
         zero_arcs = [(a, b, idx) for a, b, idx in arcs if scaled[idx] == 0]
+        # live arcs by scaled cost; each joins the sweep at its own level
+        live = sorted(
+            (scaled[idx], pos, a, b, idx)
+            for pos, (a, b, idx) in enumerate(arcs)
+            if 1 <= scaled[idx] <= budget
+        )
+        swept: list[tuple[int, int, int, int, int]] = []  # (pos, a, b, idx, cost)
+        k = 0
 
         def relax_level(i: int, row: list[Optional[int]]) -> None:
             # zero scaled-cost edges stay within the level
@@ -162,16 +198,18 @@ class _MinDistTable:
         relax_level(0, base)
         self.levels.append(base)
         for i in range(1, budget + 1):
+            while k < len(live) and live[k][0] <= i:
+                ci, pos, a, b, idx = live[k]
+                bisect.insort(swept, (pos, a, b, idx, ci))
+                k += 1
             row: list[Optional[int]] = [None] * n
-            for a, b, idx in arcs:
-                ci = scaled[idx]
-                if 1 <= ci <= i:
-                    prev = self.levels[i - ci][a]
-                    if prev is not None:
-                        nl = prev + lengths[idx]
-                        if row[b] is None or nl < row[b]:
-                            row[b] = nl
-                            self.parent[(i, b)] = (a, idx, i - ci)
+            for _, a, b, idx, ci in swept:
+                prev = self.levels[i - ci][a]
+                if prev is not None:
+                    nl = prev + lengths[idx]
+                    if row[b] is None or nl < row[b]:
+                        row[b] = nl
+                        self.parent[(i, b)] = (a, idx, i - ci)
             relax_level(i, row)
             self.levels.append(row)
 
@@ -218,7 +256,8 @@ def min_dist(
         raise ValueError("C must be positive")
     scaled = ScaledCosts.compute(graph, eps, C)
     budget = _floor_frac(Fraction(graph.vertex_count) / eps)
-    table = _MinDistTable(graph, s, scaled.values, budget)
+    lengths = as_integers([e.length for e in graph.edges])
+    table = _MinDistTable(graph, s, scaled.values, budget, lengths)
     return table.path(t)
 
 
@@ -245,7 +284,9 @@ def _exponent_range(n: int, eps: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
+def approx_const(
+    instance: SlsnInstance, eps: Fraction, bounds: Optional[CostBounds] = _RUN_OPT_LOW
+) -> Optional[Solution]:
     """(1+eps)-approximation for a constant number of demands.
 
     Feasibility is exact; only cost is approximate.  Internally runs with
@@ -256,6 +297,7 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
     must agree on its path.  Every candidate union is feasibility-checked
     exactly, so the output is always feasible and costs at most (1+eps)OPT.
     When zero-cost edges alone are feasible (C = 0) they are returned.
+    bounds, when given, is opt_low(instance) computed by the caller.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -266,7 +308,8 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
     graph = instance.graph
     if graph.edge_count == 0:
         return None
-    bounds = opt_low(instance)
+    if bounds is _RUN_OPT_LOW:
+        bounds = opt_low(instance)
     if bounds is None:
         return None
     if bounds.C == 0:
@@ -277,24 +320,25 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
     lo, hi = _exponent_range(n, eps_i)
     budget = _floor_frac(Fraction(n) / eps_i)
 
-    # Distinct scaled-cost vectors over the exponent grid; each vector is
-    # solved once per source, and per pair the distinct resulting paths
-    # become that pair's options.
+    # Distinct scaled-cost vectors over the exponent grid, clamped to
+    # budget + 1 (see _MinDistTable); each vector is solved once per
+    # source, and per pair the distinct resulting paths become that pair's
+    # options.
     base = 1 + eps_i
     vectors: dict[tuple[int, ...], None] = {}
     scale = base ** lo * C
     for _ in range(lo, hi + 1):
-        vec = tuple(
-            _ceil_frac(Fraction(n) * e.cost / (eps_i * scale)) for e in graph.edges
-        )
+        factor = n / (eps_i * scale)
+        vec = tuple(min(_ceil_frac(e.cost * factor), budget + 1) for e in graph.edges)
         vectors.setdefault(vec, None)
         scale *= base
+    lengths = as_integers([e.length for e in graph.edges])
     tables: dict[tuple[tuple[int, ...], int], _MinDistTable] = {}
 
     def table_for(vec: tuple[int, ...], source: int) -> _MinDistTable:
         key = (vec, source)
         if key not in tables:
-            tables[key] = _MinDistTable(graph, source, vec, budget)
+            tables[key] = _MinDistTable(graph, source, vec, budget, lengths)
         return tables[key]
 
     # options[pair]: the distinct paths found for the pair, as edge sets
@@ -342,9 +386,12 @@ def approx_const(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
 
 @dataclass(frozen=True)
 class _Entry:
-    """One Pareto point: a tree of this height and scaled cost exists."""
+    """One Pareto point: a tree of this height and scaled cost exists.
 
-    height: Fraction
+    height is an integer over the table's denominator (HeightTable.denominator).
+    """
+
+    height: int
     cost: int
     prov: tuple  # ("leaf",) | ("edge", edge_idx, child) | ("split", a, b)
 
@@ -364,7 +411,9 @@ class HeightTable:
     Stored sparsely: per (vertex, subset) a Pareto frontier of
     (height, scaled cost) pairs.  d(v, R, j) is the least frontier height
     of scaled cost at most j; the dense table of the recurrence is exactly
-    this map read off along the budget axis.
+    this map read off along the budget axis.  Frontier heights are integers
+    over denominator, the lcm of the length and L denominators; query
+    returns them as exact Fractions.
     """
 
     def __init__(
@@ -373,11 +422,13 @@ class HeightTable:
         frontiers: dict[tuple[int, int], tuple[_Entry, ...]],
         budget_cap: int,
         scaled: ScaledCosts,
+        denominator: int,
     ):
         self.terminals = terminals
         self.frontiers = frontiers
         self.budget_cap = budget_cap
         self.scaled = scaled
+        self.denominator = denominator
         self._tbit = {t: 1 << i for i, t in enumerate(terminals)}
 
     def _normalize(self, v: int, mask: int) -> int:
@@ -396,7 +447,7 @@ class HeightTable:
             return Fraction(0)
         for e in self.frontiers.get((v, mask), ()):
             if e.cost <= j:
-                return e.height
+                return Fraction(e.height, self.denominator)
         return None
 
     def cells(self):
@@ -426,12 +477,15 @@ def build_height_table(
     terminals = tuple(t if s == root else s for s, t in instance.demands.pairs)
     scaled = ScaledCosts.compute(graph, eps, C)
     cap = _ceil_frac(Fraction(n) ** 3 * (1 + eps) / eps)
-    L = instance.L
+    # heights are ints over D, the lcm of the length and L denominators
+    D = math.lcm(instance.L.denominator, *(e.length.denominator for e in graph.edges))
+    lengths = [int(e.length * D) for e in graph.edges]
+    L = int(instance.L * D)
     tbit = {t: 1 << i for i, t in enumerate(terminals)}
     full = (1 << len(terminals)) - 1
 
     frontiers: dict[tuple[int, int], tuple[_Entry, ...]] = {}
-    leaf = (_Entry(Fraction(0), 0, ("leaf",)),)
+    leaf = (_Entry(0, 0, ("leaf",)),)
     for v in range(n):
         frontiers[(v, 0)] = leaf
 
@@ -467,7 +521,7 @@ def build_height_table(
                         continue
                     grown: list[_Entry] = []
                     for child in fr(b, mask) if b not in rows else rows[b]:
-                        h = child.height + e.length
+                        h = child.height + lengths[idx]
                         c = child.cost + scaled.values[idx]
                         if h <= L and c <= cap:
                             grown.append(_Entry(h, c, ("edge", idx, child)))
@@ -479,7 +533,7 @@ def build_height_table(
         for v, row in rows.items():
             frontiers[(v, mask)] = row
 
-    return HeightTable(terminals, frontiers, cap, scaled)
+    return HeightTable(terminals, frontiers, cap, scaled, D)
 
 
 def _collect_edges(entry: _Entry, out: set[int]) -> None:
@@ -494,12 +548,15 @@ def _collect_edges(entry: _Entry, out: set[int]) -> None:
             stack.append(e.prov[2])
 
 
-def approx_star(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
+def approx_star(
+    instance: SlsnInstance, eps: Fraction, bounds: Optional[CostBounds] = _RUN_OPT_LOW
+) -> Optional[Solution]:
     """(1+eps)-approximation for star demands with arbitrary lengths/costs.
 
     The output is a tree rooted at the star root with height at most L
     (so feasibility is exact) and original cost at most (1+eps)*OPT.  When
     zero-cost edges alone are feasible (C = 0) the tree is taken from them.
+    bounds, when given, is opt_low(instance) computed by the caller.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -509,7 +566,8 @@ def approx_star(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
         raise ValueError("approx_star requires star demands")
     if instance.graph.edge_count == 0:
         return None
-    bounds = opt_low(instance)
+    if bounds is _RUN_OPT_LOW:
+        bounds = opt_low(instance)
     if bounds is None:
         return None
     graph = instance.graph
@@ -518,9 +576,10 @@ def approx_star(instance: SlsnInstance, eps: Fraction) -> Optional[Solution]:
     else:
         table = build_height_table(instance, eps, bounds.C)
         full = (1 << len(table.terminals)) - 1
+        L = int(instance.L * table.denominator)
         chosen = None
         for entry in table.frontier(root, full):
-            if entry.height <= instance.L:
+            if entry.height <= L:
                 chosen = entry  # frontier sorted by height; max height <= L wins min cost
         if chosen is None or chosen.cost > table.budget_cap:
             return None

@@ -157,30 +157,24 @@ def _cmd_solve(args) -> int:
         return EXIT_HARD
     eps = as_fraction(args.eps) if args.eps else Fraction(1, 4)
     t0 = time.monotonic()
-    ratio = None
+    ratio = extra = None
     if solver == "exact-const":
         solution = exact_const.solve_unit_length(instance)
     elif solver == "unit-cost":
         solution = exact_const.solve_unit_cost(instance)
     elif solver == "star":
         solution = star_dst.solve_slst(instance)
-    elif solver == "approx-const":
-        solution = approx.approx_const(instance, eps)
-        ratio = format_rational(1 + eps)
     else:
-        solution = approx.approx_star(instance, eps)
+        # one opt_low serves the solver and the report's opt_bracket; an
+        # edgeless graph meets no demand
+        bounds = approx.opt_low(instance) if instance.graph.edge_count else None
+        solve = approx.approx_const if solver == "approx-const" else approx.approx_star
+        solution = solve(instance, eps, bounds=bounds)
         ratio = format_rational(1 + eps)
-    wall = time.monotonic() - t0
-    extra = None
-    if ratio is not None:
-        bounds = approx.opt_low(instance)
         if bounds is not None:
-            extra = {
-                "opt_bracket": [
-                    format_rational(bounds.C),
-                    format_rational(bounds.C * instance.graph.vertex_count**2),
-                ]
-            }
+            n = instance.graph.vertex_count
+            extra = {"opt_bracket": [format_rational(bounds.C), format_rational(bounds.C * n**2)]}
+    wall = time.monotonic() - t0
     report = _report(
         "solve",
         solver,

@@ -320,8 +320,9 @@ def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
     if p < 1:
         raise ValueError("at least one demand required")
     _warn_large_p(p)
-    n = graph.vertex_count
-    cost_budget = max(n - 1, 0)  # simple paths use at most n-1 edges
+    # simple paths use at most n-1 edges, and with integer lengths of at
+    # least 1 a path within L uses at most floor(L)
+    cost_budget = min(int(instance.L), max(graph.vertex_count - 1, 0))
     if cost_budget < 1:
         return None
     hops = hop_distances(graph)

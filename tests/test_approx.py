@@ -7,6 +7,7 @@ from slsn.approx import (
     CostBounds,
     HeightTable,
     ScaledCosts,
+    _MinDistTable,
     approx_const,
     approx_star,
     build_height_table,
@@ -17,6 +18,7 @@ from slsn.core import (
     DemandGraph,
     SlsnInstance,
     WeightedGraph,
+    as_integers,
     feasibility_check,
 )
 from slsn.exact_const import solve_unit_length
@@ -126,6 +128,30 @@ class TestMinDist:
                 assert got.cost <= C
                 assert got.length <= best
         assert checked >= 40
+
+
+    def test_clamped_costs_give_the_same_table(self):
+        # approx_const shares one table among cost vectors that agree once
+        # every value above the budget is replaced by budget + 1
+        rng = random.Random(506)
+        clamped_trials = 0
+        for _ in range(60):
+            inst = random_instance(rng, length_kind="rational", cost_range=(0, 10))
+            g = inst.graph
+            eps = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)])
+            C = Fraction(rng.randint(1, 40), rng.randint(1, 3))
+            raw = ScaledCosts.compute(g, eps, C).values
+            budget = int(g.vertex_count / eps)
+            clamped = tuple(min(c, budget + 1) for c in raw)
+            clamped_trials += clamped != raw
+            lengths = as_integers([e.length for e in g.edges])
+            for s in range(g.vertex_count):
+                full = _MinDistTable(g, s, raw, budget, lengths)
+                cut = _MinDistTable(g, s, clamped, budget, lengths)
+                for t in range(g.vertex_count):
+                    assert cut.best(t) == full.best(t)
+                    assert cut.path(t) == full.path(t)
+        assert clamped_trials >= 20
 
 
 class TestApproxConst:
@@ -270,6 +296,22 @@ class TestHeightTable:
             cs = [e.cost for e in entries]
             assert hs == sorted(hs)
             assert cs == sorted(cs, reverse=True)
+
+
+    def test_rational_heights_come_back_as_fractions(self):
+        # heights are kept as ints over lcm(2, 3, 6) = 6; query converts back
+        g = WeightedGraph(3, [(0, 1, Fraction(1, 2), 1), (1, 2, Fraction(1, 3), 1)])
+        inst = make_instance(g, Fraction(5, 6), [(0, 1), (0, 2)])
+        table = build_height_table(inst, Fraction(1, 4), opt_low(inst).C)
+        assert table.denominator == 6
+        for subset, want in (((1,), Fraction(1, 2)), ((2,), Fraction(5, 6)), ((1, 2), Fraction(5, 6))):
+            h = table.query(0, subset, table.budget_cap)
+            assert type(h) is Fraction and h == want
+        assert type(table.query(0, (), 0)) is Fraction
+        # height exactly L is feasible; just below L it is not
+        assert approx_star(inst, Fraction(1, 4)).total_cost == 2
+        tight = make_instance(g, Fraction(4, 5), [(0, 1), (0, 2)])
+        assert approx_star(tight, Fraction(1, 4)) is None
 
 
 class TestScaledCosts:

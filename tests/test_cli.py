@@ -228,3 +228,13 @@ def test_zero_cost_optimum(capsys, tmp_path, text, solver):
     assert code == 0
     report = json.loads(out)
     assert report["solver"] == solver and report["cost"] == "0"
+
+
+@pytest.mark.parametrize("flag", ["--approx-const", "--approx-star"])
+def test_edgeless_approx_solve_is_infeasible(capsys, tmp_path, flag):
+    inst = tmp_path / "edgeless.slsn"
+    inst.write_text("slsn 1\n3 0 1\n1\n0 2\n")
+    code, out = run(capsys, ["solve", str(inst), flag])
+    assert code == 3
+    report = json.loads(out)
+    assert report["feasible"] is False and "opt_bracket" not in report

@@ -184,20 +184,23 @@ class TestCrossSolver:
     def test_unit_length_unit_cost_and_star_agree(self):
         rng = random.Random(4004)
         solved = 0
-        for trial in range(30):
-            n = rng.randint(7, 9)
+        for trial in range(36):
+            # the last six are 3-leaf stars with n = 9, m = 17, L = 3
+            fixed = trial >= 30
+            n = 9 if fixed else rng.randint(7, 9)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             rng.shuffle(pairs)
-            m = rng.randint(17, min(24, len(pairs)))
+            m = 17 if fixed else rng.randint(17, min(24, len(pairs)))
             graph = WeightedGraph(n, [(u, v, 1, 1) for u, v in pairs[:m]])
             vertices = list(range(n))
             rng.shuffle(vertices)
-            star = trial % 2 == 0
+            star = fixed or trial % 2 == 0
             if star:
-                demands = [(vertices[0], t) for t in vertices[1 : rng.randint(2, 3)]]
+                leaves = 3 if fixed else rng.randint(1, 3)
+                demands = [(vertices[0], t) for t in vertices[1 : 1 + leaves]]
             else:
                 demands = [tuple(vertices[:2]), tuple(vertices[2:4])]
-            inst = make_instance(graph, rng.randint(1, 4), demands)
+            inst = make_instance(graph, 3 if fixed else rng.randint(1, 4), demands)
             by_length = solve_unit_length(inst)
             by_cost = solve_unit_cost(inst)
             assert (by_length is None) == (by_cost is None)
