@@ -21,11 +21,12 @@ Four pieces, used together:
   - approx_star: the star (1+eps) solver.  A Dreyfus-Wagner style program
     over (root vertex, terminal subset) computes, per scaled-cost budget,
     the smallest achievable tree height; the cheapest budget whose height
-    meets L is taken.  The table is represented sparsely as a Pareto
-    frontier of (height, scaled cost) pairs per (vertex, subset), which is
-    exactly the height table read along its steps.  Heights are integers
-    over D, the lcm of the length and L denominators, so the fill adds
-    and compares ints; HeightTable.query returns them as Fractions.
+    meets L is taken.  It is the star DP that the exact star solver also
+    runs (star_dst.star_frontiers), here on scaled costs with a cost cap:
+    per (vertex, subset) a Pareto frontier of (height, scaled cost) labels,
+    which is exactly the height table read along its steps.  Heights are
+    integers over D, the lcm of the length and L denominators, so the fill
+    adds and compares ints; HeightTable.query returns them as Fractions.
 
 All arithmetic is exact: lengths and heights are integers over a common
 denominator, converted back to Fractions at the API boundary, and scaled
@@ -58,6 +59,7 @@ from .exact_const import (
     _search_best_union,
     length_distances,
 )
+from .star_dst import Label, star_frontiers, star_terminals, tree_edges
 
 
 @dataclass(frozen=True)
@@ -384,65 +386,37 @@ def approx_const(
 # star (1+eps) solver
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """One Pareto point: a tree of this height and scaled cost exists.
-
-    height is an integer over the table's denominator (HeightTable.denominator).
-    """
-
-    height: int
-    cost: int
-    prov: tuple  # ("leaf",) | ("edge", edge_idx, child) | ("split", a, b)
-
-
-def _pareto(entries: list[_Entry]) -> tuple[_Entry, ...]:
-    entries = sorted(entries, key=lambda e: (e.height, e.cost))
-    out: list[_Entry] = []
-    for e in entries:
-        if not out or e.cost < out[-1].cost:
-            out.append(e)
-    return tuple(out)
-
-
 class HeightTable:
     """Smallest tree height by root vertex, terminal subset, cost budget.
 
-    Stored sparsely: per (vertex, subset) a Pareto frontier of
-    (height, scaled cost) pairs.  d(v, R, j) is the least frontier height
-    of scaled cost at most j; the dense table of the recurrence is exactly
-    this map read off along the budget axis.  Frontier heights are integers
-    over denominator, the lcm of the length and L denominators; query
-    returns them as exact Fractions.
+    Stored sparsely: per (vertex, subset) the Pareto frontier of
+    (height, scaled cost) labels that star_dst.star_frontiers fills.
+    d(v, R, j) is the least frontier height of scaled cost at most j; the
+    dense table of the recurrence is exactly this map read off along the
+    budget axis.  Frontier heights are integers over denominator, the lcm
+    of the length and L denominators; query returns them as exact
+    Fractions.
     """
 
     def __init__(
         self,
         terminals: tuple[int, ...],
-        frontiers: dict[tuple[int, int], tuple[_Entry, ...]],
+        frontiers: dict[tuple[int, int], tuple[Label, ...]],
         budget_cap: int,
-        scaled: ScaledCosts,
         denominator: int,
     ):
         self.terminals = terminals
         self.frontiers = frontiers
         self.budget_cap = budget_cap
-        self.scaled = scaled
         self.denominator = denominator
         self._tbit = {t: 1 << i for i, t in enumerate(terminals)}
-
-    def _normalize(self, v: int, mask: int) -> int:
-        return mask & ~self._tbit.get(v, 0)
-
-    def frontier(self, v: int, mask: int) -> tuple[_Entry, ...]:
-        return self.frontiers.get((v, self._normalize(v, mask)), ())
 
     def query(self, v: int, subset: Iterable[int], j: int) -> Optional[Fraction]:
         """d(v, R, j): smallest height at scaled cost <= j; None if none."""
         mask = 0
         for t in subset:
             mask |= self._tbit[t]
-        mask = self._normalize(v, mask)
+        mask &= ~self._tbit.get(v, 0)
         if mask == 0:
             return Fraction(0)
         for e in self.frontiers.get((v, mask), ()):
@@ -451,7 +425,7 @@ class HeightTable:
         return None
 
     def cells(self):
-        """Iterate (vertex, terminal-subset mask, entry) over filled cells."""
+        """Iterate (vertex, terminal-subset mask, label) over filled cells."""
         for (v, mask), entries in self.frontiers.items():
             for e in entries:
                 yield v, mask, e
@@ -471,81 +445,14 @@ def build_height_table(
     eps = Fraction(eps)
     graph = instance.graph
     n = graph.vertex_count
-    root = instance.demands.star_root()
-    if root is None:
-        raise ValueError("approx_star requires star demands")
-    terminals = tuple(t if s == root else s for s, t in instance.demands.pairs)
+    _, terminals = star_terminals(instance)
     scaled = ScaledCosts.compute(graph, eps, C)
     cap = _ceil_frac(Fraction(n) ** 3 * (1 + eps) / eps)
     # heights are ints over D, the lcm of the length and L denominators
     D = math.lcm(instance.L.denominator, *(e.length.denominator for e in graph.edges))
     lengths = [int(e.length * D) for e in graph.edges]
-    L = int(instance.L * D)
-    tbit = {t: 1 << i for i, t in enumerate(terminals)}
-    full = (1 << len(terminals)) - 1
-
-    frontiers: dict[tuple[int, int], tuple[_Entry, ...]] = {}
-    leaf = (_Entry(0, 0, ("leaf",)),)
-    for v in range(n):
-        frontiers[(v, 0)] = leaf
-
-    def fr(v: int, mask: int) -> tuple[_Entry, ...]:
-        return frontiers.get((v, mask & ~tbit.get(v, 0)), ())
-
-    masks = sorted(range(1, full + 1), key=lambda m: (bin(m).count("1"), m))
-    for mask in masks:
-        cand: dict[int, list[_Entry]] = {
-            v: [] for v in range(n) if not (tbit.get(v, 0) & mask)
-        }
-        for v in cand:
-            sub = (mask - 1) & mask
-            while sub:
-                other = mask ^ sub
-                if sub < other:
-                    for ea in fr(v, sub):
-                        for eb in fr(v, other):
-                            c = ea.cost + eb.cost
-                            if c <= cap:
-                                cand[v].append(
-                                    _Entry(max(ea.height, eb.height), c, ("split", ea, eb))
-                                )
-                sub = (sub - 1) & mask
-        rows = {v: _pareto(entries) for v, entries in cand.items()}
-        # edge relaxation to a fixpoint: positive lengths force termination
-        changed = True
-        while changed:
-            changed = False
-            for idx, e in enumerate(graph.edges):
-                for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if a not in rows:
-                        continue
-                    grown: list[_Entry] = []
-                    for child in fr(b, mask) if b not in rows else rows[b]:
-                        h = child.height + lengths[idx]
-                        c = child.cost + scaled.values[idx]
-                        if h <= L and c <= cap:
-                            grown.append(_Entry(h, c, ("edge", idx, child)))
-                    if grown:
-                        merged = _pareto(list(rows[a]) + grown)
-                        if merged != rows[a]:
-                            rows[a] = merged
-                            changed = True
-        for v, row in rows.items():
-            frontiers[(v, mask)] = row
-
-    return HeightTable(terminals, frontiers, cap, scaled, D)
-
-
-def _collect_edges(entry: _Entry, out: set[int]) -> None:
-    stack = [entry]
-    while stack:
-        e = stack.pop()
-        if e.prov[0] == "edge":
-            out.add(e.prov[1])
-            stack.append(e.prov[2])
-        elif e.prov[0] == "split":
-            stack.append(e.prov[1])
-            stack.append(e.prov[2])
+    frontiers = star_frontiers(graph, terminals, lengths, scaled.values, int(instance.L * D), cap)
+    return HeightTable(terminals, frontiers, cap, D)
 
 
 def approx_star(
@@ -561,9 +468,7 @@ def approx_star(
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
-    root = instance.demands.star_root()
-    if root is None:
-        raise ValueError("approx_star requires star demands")
+    root, _ = star_terminals(instance)
     if instance.graph.edge_count == 0:
         return None
     if bounds is _RUN_OPT_LOW:
@@ -575,16 +480,11 @@ def approx_star(
         union = _zero_cost_edges(graph)  # feasible at cost 0, so optimal
     else:
         table = build_height_table(instance, eps, bounds.C)
-        full = (1 << len(table.terminals)) - 1
-        L = int(instance.L * table.denominator)
-        chosen = None
-        for entry in table.frontier(root, full):
-            if entry.height <= L:
-                chosen = entry  # frontier sorted by height; max height <= L wins min cost
-        if chosen is None or chosen.cost > table.budget_cap:
+        # labels are pruned at height L and at the cap, so the last is the cheapest
+        frontier = table.frontiers[(root, (1 << len(table.terminals)) - 1)]
+        if not frontier:
             return None
-        union = set()
-        _collect_edges(chosen, union)
+        union = tree_edges(frontier[-1])
 
     # The reconstructed halves of splits may overlap; take the cheapest
     # shortest-path tree inside the union and prune non-terminal leaves,

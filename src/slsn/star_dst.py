@@ -1,26 +1,39 @@
-"""FPT-exact star solver via the layered directed-Steiner-tree reduction.
+"""The star DP shared by both star solvers, and the layered DST reduction.
 
-For star demands with unit lengths, an (L+1)-layered digraph is built:
-layer i holds a copy v(i) of every vertex; each undirected edge {u,v}
-yields arcs u(i-1)->v(i) and v(i-1)->u(i) at the edge's cost for every
-i in [L], and every vertex gets a zero-cost stay arc v(i-1)->v(i).  The
-root is s(0) and terminal j is t_j(L); the layered DST optimum equals the
-SLST optimum, and selected non-stay arcs project back to original edges.
+star_frontiers is the Dreyfus-Wagner subset DP over (vertex, terminal
+subset) with a (height, cost) label in place of a scalar: per cell it keeps
+the Pareto frontier of trees rooted at the vertex that reach the subset.
+Each subset is filled by one label-setting pass (Martins 1984) in the
+send-and-split form of Erickson, Monma and Veinott (1987): the splits of
+the subset at each vertex seed a heap, labels leave it in (height, cost)
+order, and a label is kept only if it is cheaper than every kept label of
+no greater height at its vertex.  solve_slst runs it with unit lengths and
+exact integer costs and reads the cheapest tree of height at most L;
+approx.build_height_table runs it with scaled costs and a cost cap.
 
-The DST itself is solved exactly by the classical subset dynamic program:
-f(v, R) is the cheapest arborescence rooted at v reaching terminal set R,
-combining subset splits at v with arc extensions relaxed Dijkstra-style.
+The paper's exact algorithm reduces unit-length stars to a directed Steiner
+tree on an (L+1)-layered digraph: layer i holds a copy v(i) of every
+vertex; each undirected edge {u,v} yields arcs u(i-1)->v(i) and
+v(i-1)->u(i) at the edge's cost for every i in [L], and every vertex gets
+a zero-cost stay arc v(i-1)->v(i).  The root is s(0) and terminal j is
+t_j(L); the layered DST optimum equals the SLST optimum.  The reduction and
+its scalar subset DP (build_layered_dst, solve_dst) stay here as the
+reference the tests compare the star DP against; no solver calls them.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     SlsnInstance,
     Solution,
+    WeightedGraph,
+    as_integers,
     canonical_path_assignment,
     dijkstra,
 )
@@ -59,13 +72,12 @@ class LayeredMap:
         return layered % self.vertex_count, layered // self.vertex_count
 
 
-def star_root_of(instance: SlsnInstance) -> int:
+def star_terminals(instance: SlsnInstance) -> tuple[int, tuple[int, ...]]:
+    """The star root and its terminals, in demand order."""
     root = instance.demands.star_root()
     if root is None:
-        raise ValueError(
-            "demand graph is not a star; run `slsn classify` to see its class"
-        )
-    return root
+        raise ValueError("demand graph is not a star; run `slsn classify` to see its class")
+    return root, tuple(t if s == root else s for s, t in instance.demands.pairs)
 
 
 def build_layered_dst(
@@ -184,32 +196,117 @@ def dst_cost(dst: DstInstance, arc_set: frozenset[int]) -> Fraction:
     return sum((dst.arcs[i][2] for i in arc_set), Fraction(0))
 
 
-def solve_slst(instance: SlsnInstance) -> Optional[Solution]:
-    """Exact star solver: reduce to layered DST and project back.
+class Label(NamedTuple):
+    """One Pareto point of a (vertex, terminal subset) cell: a tree rooted
+    at the vertex that reaches the subset, with this height and cost."""
 
-    The projected solution keeps each original edge once (stay arcs are
-    dropped), has cost equal to the DST optimum, and is feasibility-checked
-    by canonical_path_assignment before returning.
+    height: int
+    cost: int
+    prov: tuple  # ("leaf",) | ("edge", edge_idx, child) | ("split", a, b)
+
+
+def star_frontiers(
+    graph: WeightedGraph,
+    terminals: tuple[int, ...],
+    lengths: Sequence[int],
+    costs: Sequence[int],
+    L: int,
+    cap: Optional[int] = None,
+) -> dict[tuple[int, int], tuple[Label, ...]]:
+    """Pareto frontiers of the star DP, keyed by (vertex, terminal mask).
+
+    Bit i of a mask stands for terminals[i]; a vertex's own bit is never in
+    its key, since a tree rooted at a terminal reaches it for free.  Each
+    frontier has heights rising and costs strictly falling.  lengths are
+    positive ints, costs non-negative ints; trees higher than L or dearer
+    than cap (when given) are pruned.
     """
-    root = star_root_of(instance)
-    dst, layered = build_layered_dst(instance, root)
-    arc_set = solve_dst(dst)
-    if arc_set is None:
-        return None
-    graph = instance.graph
-    pair_to_edges: dict[tuple[int, int], list[int]] = {}
+    n = graph.vertex_count
+    tbit = {t: 1 << i for i, t in enumerate(terminals)}
+    full = (1 << len(terminals)) - 1
+    # arcs[b]: (a, length, cost, idx) extends a tree rooted at b to one at a
+    arcs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for idx, e in enumerate(graph.edges):
-        pair_to_edges.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(idx)
-    chosen: set[int] = set()
-    for arc_idx in arc_set:
-        a, b, cost = dst.arcs[arc_idx]
-        u, _ = layered.to_original(a)
-        v, _ = layered.to_original(b)
-        if u == v:
-            continue  # zero-cost stay arc
-        pair = (min(u, v), max(u, v))
-        # among parallel edges, the reduction used this arc's exact cost
-        idx = min(i for i in pair_to_edges[pair] if graph.edges[i].cost == cost)
-        chosen.add(idx)
+        arcs[e.v].append((e.u, lengths[idx], costs[idx], idx))
+        arcs[e.u].append((e.v, lengths[idx], costs[idx], idx))
+    leaf = (Label(0, 0, ("leaf",)),)
+    frontiers = {(v, 0): leaf for v in range(n)}
+    order = itertools.count()
+
+    for mask in range(1, full + 1):
+        kept: dict[int, list[Label]] = {
+            v: [] for v in range(n) if not tbit.get(v, 0) & mask
+        }
+        heap: list[tuple] = []
+
+        def relax(v: int, label: Label) -> None:
+            for a, ln, co, idx in arcs[v]:
+                row = kept.get(a)
+                h, c = label.height + ln, label.cost + co
+                if row is None or h > L or (cap is not None and c > cap):
+                    continue
+                if not row or c < row[-1].cost:
+                    heapq.heappush(heap, (h, c, next(order), a, ("edge", idx, label)))
+
+        for v in kept:
+            sub = (mask - 1) & mask
+            while sub:
+                other = mask ^ sub
+                if sub < other:  # each unordered split once
+                    for a in frontiers[(v, sub)]:
+                        for b in frontiers[(v, other)]:
+                            c = a.cost + b.cost
+                            if cap is None or c <= cap:
+                                h = max(a.height, b.height)
+                                heapq.heappush(heap, (h, c, next(order), v, ("split", a, b)))
+                sub = (sub - 1) & mask
+        for t, bit in tbit.items():
+            if bit & mask:  # a terminal in the subset sends its settled labels
+                for label in frontiers[(t, mask ^ bit)]:
+                    relax(t, label)
+        while heap:
+            h, c, _, v, prov = heapq.heappop(heap)
+            row = kept[v]
+            if not row or c < row[-1].cost:
+                label = Label(h, c, prov)
+                row.append(label)
+                relax(v, label)
+        for v, row in kept.items():
+            frontiers[(v, mask)] = tuple(row)
+    return frontiers
+
+
+def tree_edges(label: Label) -> set[int]:
+    """Edge indices of the tree a label's provenance describes."""
+    out: set[int] = set()
+    stack = [label]
+    while stack:
+        prov = stack.pop().prov
+        if prov[0] == "edge":
+            out.add(prov[1])
+            stack.append(prov[2])
+        elif prov[0] == "split":
+            stack.extend(prov[1:])
+    return out
+
+
+def solve_slst(instance: SlsnInstance) -> Optional[Solution]:
+    """Exact star solver for unit lengths: the cheapest star-DP tree of
+    height at most L, with its witness paths.
+
+    L is clamped to n-1 (a longer unit-length path would repeat a vertex),
+    and non-integral L is truncated since all path lengths are integers.
+    """
+    root, terminals = star_terminals(instance)
+    graph = instance.graph
+    if not graph.has_unit_lengths():
+        raise ValueError("the exact star solver requires unit edge lengths")
+    L = min(int(instance.L), max(graph.vertex_count - 1, 0))
+    costs = as_integers([e.cost for e in graph.edges])
+    frontiers = star_frontiers(graph, terminals, [1] * graph.edge_count, costs, L)
+    frontier = frontiers[(root, (1 << len(terminals)) - 1)]
+    if not frontier:
+        return None
+    chosen = tree_edges(frontier[-1])
     paths = canonical_path_assignment(instance, chosen)
     return Solution.build(instance, chosen, paths)

@@ -24,6 +24,7 @@ from slsn.core import (
 from slsn.exact_const import solve_unit_length
 from slsn.generators import random_instance
 from slsn.oracle import brute_force_restricted_path, brute_force_slsn
+from slsn.star_dst import solve_slst, star_frontiers, star_terminals
 
 from conftest import make_instance
 
@@ -45,6 +46,99 @@ def certified_best_length(graph, s, t, eps, C):
             if w not in seq:
                 stack.append((w, ln + e.length, co + e.cost, seq + (w,)))
     return best
+
+
+def fixpoint_frontiers(graph, terminals, lengths, costs, L, cap=None):
+    """The star DP by edge relaxation to a fixpoint, the reference for
+    star_frontiers: per (vertex, mask) the Pareto list of (height, cost).
+
+    Each mask's split candidates are merged first; then every edge is
+    relaxed, re-sorting the Pareto list at each merge, until no list
+    changes.  Positive lengths force termination.
+    """
+
+    def pareto(points):
+        out = []
+        for h, c in sorted(points):
+            if not out or c < out[-1][1]:
+                out.append((h, c))
+        return out
+
+    def fits(c):
+        return cap is None or c <= cap
+
+    tbit = {t: 1 << i for i, t in enumerate(terminals)}
+    frontiers = {(v, 0): [(0, 0)] for v in range(graph.vertex_count)}
+
+    def fr(v, mask):
+        return frontiers.get((v, mask & ~tbit.get(v, 0)), [])
+
+    for mask in range(1, 1 << len(terminals)):
+        rows = {}
+        for v in range(graph.vertex_count):
+            if tbit.get(v, 0) & mask:
+                continue
+            cand = []
+            sub = (mask - 1) & mask
+            while sub:
+                if sub < mask ^ sub:
+                    cand += [
+                        (max(ha, hb), ca + cb)
+                        for ha, ca in fr(v, sub)
+                        for hb, cb in fr(v, mask ^ sub)
+                        if fits(ca + cb)
+                    ]
+                sub = (sub - 1) & mask
+            rows[v] = pareto(cand)
+        changed = True
+        while changed:
+            changed = False
+            for idx, e in enumerate(graph.edges):
+                for a, b in ((e.u, e.v), (e.v, e.u)):
+                    if a not in rows:
+                        continue
+                    grown = [
+                        (h + lengths[idx], c + costs[idx])
+                        for h, c in (rows[b] if b in rows else fr(b, mask))
+                    ]
+                    merged = pareto(rows[a] + [(h, c) for h, c in grown if h <= L and fits(c)])
+                    if merged != rows[a]:
+                        rows[a] = merged
+                        changed = True
+        for v, row in rows.items():
+            frontiers[(v, mask)] = row
+    return frontiers
+
+
+def replay(label, lengths, costs):
+    """(height, cost) recomputed from a label's provenance."""
+    kind = label.prov[0]
+    if kind == "leaf":
+        return 0, 0
+    if kind == "edge":
+        h, c = replay(label.prov[2], lengths, costs)
+        return h + lengths[label.prov[1]], c + costs[label.prov[1]]
+    (ha, ca), (hb, cb) = (replay(x, lengths, costs) for x in label.prov[1:])
+    return max(ha, hb), ca + cb
+
+
+class TestStarFrontiers:
+    def test_matches_fixpoint_reference(self):
+        # rational lengths, zero-cost edges and costs 0..3 make ties common
+        rng = random.Random(808)
+        for _ in range(40):
+            inst = random_instance(rng, star=True, length_kind="rational", cost_range=(0, 3))
+            g = inst.graph
+            _, terminals = star_terminals(inst)
+            L, *lengths = as_integers([inst.L] + [e.length for e in g.edges])
+            costs = [int(e.cost) for e in g.edges]
+            for cap in (None, sum(costs) // 2):
+                got = star_frontiers(g, terminals, lengths, costs, L, cap)
+                ref = fixpoint_frontiers(g, terminals, lengths, costs, L, cap)
+                assert {k: [(x.height, x.cost) for x in row] for k, row in got.items()} == ref
+                for row in got.values():
+                    for label in row:
+                        assert replay(label, lengths, costs) == (label.height, label.cost)
 
 
 class TestOptLow:
@@ -221,6 +315,35 @@ class TestApproxStar:
     def test_infeasible_none(self):
         g = WeightedGraph(3, [(0, 1, 5, 1), (1, 2, 5, 1)])
         assert approx_star(make_instance(g, 2, [(0, 2)]), Fraction(1, 4)) is None
+
+    def test_within_ratio_of_exact_star_beyond_oracle(self):
+        # m = 40..80 is out of the oracle's reach; the exact star solver is the bar
+        rng = random.Random(717)
+        eps = Fraction(1, 4)
+        solved = 0
+        for _ in range(12):
+            inst = _unit_length_star(rng)
+            exact = solve_slst(inst)
+            got = approx_star(inst, eps)
+            assert (got is None) == (exact is None)
+            if exact is not None:
+                solved += 1
+                assert exact.total_cost <= got.total_cost <= (1 + eps) * exact.total_cost
+        assert solved >= 8
+
+
+def _unit_length_star(rng):
+    """A connected unit-length star instance with n 20-40 and m = 2n."""
+    n = rng.randint(20, 40)
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    while len(pairs) < 2 * n:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    edges = [(u, v, 1, rng.randint(1, 10)) for u, v in sorted(pairs)]
+    root = rng.randrange(n)
+    leaves = rng.sample([v for v in range(n) if v != root], rng.randint(2, 4))
+    return make_instance(WeightedGraph(n, edges), rng.randint(3, 6), [(root, t) for t in leaves])
 
 
 def _assert_tree_height(inst, sol):

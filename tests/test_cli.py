@@ -212,6 +212,14 @@ def test_zero_denominator_is_an_error_line(capsys, tmp_path, text, flags):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_star_solver_refuses_non_unit_lengths(capsys, tmp_path):
+    inst = tmp_path / "long.slsn"
+    inst.write_text(TRI.replace("1 2 1 1", "1 2 2 1"))
+    code = dispatch(["solve", str(inst), "--star"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "text, solver",
     [

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from slsn.core import DemandGraph, SlsnInstance, WeightedGraph, feasibility_check
+from slsn.core import (
+    CostMode,
+    DemandGraph,
+    SlsnInstance,
+    WeightedGraph,
+    expand_to_unit,
+    feasibility_check,
+)
 from slsn.generators import random_instance
 from slsn.oracle import brute_force_slsn
 from slsn.star_dst import (
@@ -109,10 +116,68 @@ class TestSolveDst:
                     sub = (sub - 1) & mask
 
 
+def with_edges(inst, extra=(), scale=1):
+    """inst with extra edges appended and every cost multiplied by scale."""
+    g = inst.graph
+    edges = [(e.u, e.v, e.length, e.cost * scale) for e in g.edges] + list(extra)
+    return SlsnInstance(WeightedGraph(g.vertex_count, edges), inst.L, inst.demands)
+
+
+def cost_of(solution):
+    return None if solution is None else solution.total_cost
+
+
 class TestSolveSlst:
     def test_p1_min_cost_bounded_path(self, detour_graph):
         assert solve_slst(make_instance(detour_graph, 1, [(0, 2)])).total_cost == 3
         assert solve_slst(make_instance(detour_graph, 2, [(0, 2)])).total_cost == 2
+
+    def test_rejects_non_unit_lengths(self):
+        g = WeightedGraph(3, [(0, 1, 1, 1), (1, 2, 2, 1)])
+        with pytest.raises(ValueError, match="unit edge lengths"):
+            solve_slst(make_instance(g, 3, [(0, 2)]))
+
+    def test_parallel_edges_against_oracle(self):
+        # random_instance draws no parallel edges; add copies of equal and
+        # of differing cost, some cheaper than the edge they copy
+        rng = random.Random(3223)
+        solved = 0
+        for _ in range(40):
+            inst = random_instance(rng, star=True, n_max=6, m_max=9)
+            picked = rng.sample(inst.graph.edges, min(4, inst.graph.edge_count))
+            extra = [(e.u, e.v, 1, e.cost) for e in picked[:2]]
+            for e in picked[2:]:
+                k = rng.randint(1, 5)
+                extra.append((e.u, e.v, 1, rng.choice((max(e.cost - k, 0), e.cost + k))))
+            multi = with_edges(inst, extra)
+            mine = solve_slst(multi)
+            assert cost_of(mine) == cost_of(brute_force_slsn(multi))
+            if mine is not None:
+                solved += 1
+                assert feasibility_check(multi, mine.edge_subset).feasible
+        assert solved >= 20
+
+    def test_metamorphic_beyond_oracle(self):
+        # m up to 24 is out of the oracle's reach: relate solve_slst runs
+        rng = random.Random(3334)
+        solved = 0
+        for _ in range(30):
+            inst = random_instance(rng, star=True, n_max=12, m_max=24)
+            base = cost_of(solve_slst(inst))
+            solved += base is not None
+            g = inst.graph
+            e = g.edges[rng.randrange(g.edge_count)]
+            dominated = with_edges(inst, [(e.u, e.v, 1, e.cost + rng.randint(0, 3))])
+            assert cost_of(solve_slst(dominated)) == base
+            # a free edge longer than L, as a path of unit hops
+            u, v = rng.sample(range(g.vertex_count), 2)
+            long = with_edges(inst, [(u, v, int(inst.L) + 1, 0)]).graph
+            expanded = expand_to_unit(long, CostMode.DIVIDE_EQUALLY).graph
+            assert cost_of(solve_slst(SlsnInstance(expanded, inst.L, inst.demands))) == base
+            c = rng.choice((Fraction(3), Fraction(5, 2)))
+            scaled = cost_of(solve_slst(with_edges(inst, scale=c)))
+            assert scaled == (None if base is None else c * base)
+        assert solved >= 15
 
     def test_round_trip_cost_identity(self, rng):
         for _ in range(30):
