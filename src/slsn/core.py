@@ -474,7 +474,6 @@ class CostMode(enum.Enum):
 @dataclass(frozen=True)
 class ExpansionResult:
     graph: WeightedGraph
-    vertex_map: tuple[int, ...]  # original vertex id -> expanded vertex id
     edge_map: tuple[tuple[int, ...], ...]  # original edge idx -> expanded edge indices
 
 
@@ -482,7 +481,8 @@ def expand_to_unit(graph: WeightedGraph, cost_mode: CostMode) -> ExpansionResult
     """Replace each integer-length edge by a unit-length hop path.
 
     An edge of length k becomes a path of k unit-length edges through k-1
-    fresh interior vertices.  UNIT_PER_HOP gives every hop cost 1;
+    fresh interior vertices, numbered after the original vertices, whose
+    ids are kept.  UNIT_PER_HOP gives every hop cost 1;
     DIVIDE_EQUALLY splits the original cost evenly across hops.  Interior
     vertices are labeled "<u>~<v>#<hop>" from the endpoint labels.
     """
@@ -512,7 +512,7 @@ def expand_to_unit(graph: WeightedGraph, cost_mode: CostMode) -> ExpansionResult
             edges.append((a, b, Fraction(1), hop_cost))
         edge_map.append(tuple(ids))
     expanded = WeightedGraph(next_vertex, edges, labels)
-    return ExpansionResult(expanded, tuple(range(graph.vertex_count)), tuple(edge_map))
+    return ExpansionResult(expanded, tuple(edge_map))
 
 
 def canonical_path_assignment(

@@ -17,6 +17,11 @@ budget makes those choices consistent exactly when a clique exists.  Case
 length-4 / length-7 edge families.  Case 6 embeds any hard demand graph
 by padding a concrete pattern with fresh length-L paths.
 
+Witnesses.  A multicolored clique picks one base-edge path per demand
+(_witness_base_paths), built from a few shared chains: root to leaf, and
+the per-color zig-zag.  The witness is its paths: its edge set is their
+union, so each case describes its witness exactly once.
+
 Unit flavor: every base edge costs its length, so after hop expansion all
 edges are unit-length unit-cost.  Poly flavor (apply_poly_cost) re-costs
 selected families to polynomially large values per the approximation
@@ -45,7 +50,9 @@ from .classifier import (
     DemandClassKind,
     HardCase,
     HardWitness,
+    _adjacency,
     classify,
+    verify_witness,
 )
 
 
@@ -109,9 +116,6 @@ class MccInstance:
             if not self.color_class(i):
                 raise GadgetError(f"color class {i} is empty; no zig-zag path exists")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in set(self.edges)
-
 
 @dataclass
 class _BaseGadget:
@@ -120,24 +124,25 @@ class _BaseGadget:
     case_tag: HardCase
     k: int
     L: int
-    labels: list[str]
-    roles: list[tuple]  # per vertex: (kind, key)
-    edges: list[tuple[int, int, int]]  # u, v, length
-    families: list[str]
-    keys: list[tuple]  # family-specific key per edge
-    demands: list[tuple[int, int]]
-    demand_origins: list[tuple]  # (kind, data) per demand
     mcc: MccInstance
-    # case 6 bookkeeping
-    pattern_edge_count: int = 0  # |H^(t)|; equals len(demands) for pure cases
-    extra_demand_count: int = 0
+    labels: list[str] = field(default_factory=list)
+    roles: list[tuple] = field(default_factory=list)  # per vertex: (kind, key)
+    edges: list[tuple[int, int, int]] = field(default_factory=list)  # u, v, length
+    families: list[str] = field(default_factory=list)
+    demands: list[tuple[int, int]] = field(default_factory=list)
+    demand_origins: list[tuple] = field(default_factory=list)  # (kind, data) per demand
+    _index: dict = field(default_factory=dict)  # (kind, key) -> vertex id
+    _eindex: dict = field(default_factory=dict)  # (family, key) -> edge id
+
+    @property
+    def extra_demand_count(self) -> int:
+        """Case-6 pad demands; every other demand belongs to the pattern."""
+        return sum(1 for kind, _ in self.demand_origins if kind == "extra")
 
     def vertex(self, kind: str, key) -> int:
         return self._index[(kind, key)]
 
     def add_vertex(self, kind: str, key, label: str) -> int:
-        if not hasattr(self, "_index"):
-            self._index = {}
         vid = len(self.labels)
         self.labels.append(label)
         self.roles.append((kind, key))
@@ -148,30 +153,15 @@ class _BaseGadget:
         idx = len(self.edges)
         self.edges.append((u, v, length))
         self.families.append(family)
-        self.keys.append(key)
-        if not hasattr(self, "_eindex"):
-            self._eindex = {}
         self._eindex[(family, key)] = idx
         return idx
 
     def edge_id(self, family: str, key) -> int:
         return self._eindex[(family, key)]
 
-
-def _new_base(case_tag: HardCase, k: int, L: int, mcc: MccInstance) -> _BaseGadget:
-    return _BaseGadget(
-        case_tag=case_tag,
-        k=k,
-        L=L,
-        labels=[],
-        roles=[],
-        edges=[],
-        families=[],
-        keys=[],
-        demands=[],
-        demand_origins=[],
-        mcc=mcc,
-    )
+    def add_demand(self, kind: str, data, s: int, t: int) -> None:
+        self.demands.append((s, t))
+        self.demand_origins.append((kind, data))
 
 
 @dataclass
@@ -184,15 +174,10 @@ class GadgetBundle:
     k: int
     g_value: Fraction
     cost_flavor: CostFlavor
-    eps: Optional[Fraction]
     base: _BaseGadget
     expansion: ExpansionResult
     edge_family: tuple[str, ...]  # per expanded edge
     mcc: MccInstance
-
-    @property
-    def label_of(self) -> tuple:
-        return self.instance.graph.labels
 
     def role_vertex(self, kind: str, key) -> int:
         """Expanded vertex id of a base gadget role (ids are preserved)."""
@@ -283,21 +268,16 @@ def _leaf_pairs(k: int) -> list[tuple[int, int]]:
 
 def _star_case_base(mcc: MccInstance, case_tag: HardCase) -> _BaseGadget:
     k = mcc.k
-    base = _new_base(case_tag, k, 4 * k * k, mcc)
+    base = _BaseGadget(case_tag, k, 4 * k * k, mcc)
     _build_star_skeleton(base, e1_length=2)
     r = base.vertex("r", None)
     for i, j in _leaf_pairs(k):
-        base.demands.append((r, base.vertex("l", (i, j))))
-        base.demand_origins.append(("leaf", (i, j)))
-    base.demands.append((base.vertex("y", 0), base.vertex("y", k)))
-    base.demand_origins.append(("ypath", None))
+        base.add_demand("leaf", (i, j), r, base.vertex("l", (i, j)))
+    base.add_demand("ypath", None, base.vertex("y", 0), base.vertex("y", k))
     if case_tag in (HardCase.H_K1_STAR, HardCase.H_K2_STAR):
-        base.demands.append((r, base.vertex("y", 0)))
-        base.demand_origins.append(("ry0", None))
+        base.add_demand("ry0", None, r, base.vertex("y", 0))
     if case_tag is HardCase.H_K2_STAR:
-        base.demands.append((r, base.vertex("y", k)))
-        base.demand_origins.append(("ryk", None))
-    base.pattern_edge_count = len(base.demands)
+        base.add_demand("ryk", None, r, base.vertex("y", k))
     return base
 
 
@@ -316,22 +296,23 @@ def build_case3(mcc: MccInstance) -> GadgetBundle:
     return _finalize(_star_case_base(mcc, HardCase.H_K2_STAR), CostFlavor.UNIT, None)
 
 
-def build_case4(mcc: MccInstance) -> GadgetBundle:
-    """Matching demands: l'_{i,j}-l_{i,j} plus y0-yk; E1 shortened, E0 added."""
+def _case4_base(mcc: MccInstance) -> _BaseGadget:
     k = mcc.k
-    base = _new_base(HardCase.H_KK, k, 4 * k * k, mcc)
+    base = _BaseGadget(HardCase.H_KK, k, 4 * k * k, mcc)
     _build_star_skeleton(base, e1_length=1)
     r = base.vertex("r", None)
     for i, j in _leaf_pairs(k):
         lp = base.add_vertex("lp", (i, j), f"l'_{{{i},{j}}}")
         base.add_edge("E0", (i, j), lp, r, 1)
     for i, j in _leaf_pairs(k):
-        base.demands.append((base.vertex("lp", (i, j)), base.vertex("l", (i, j))))
-        base.demand_origins.append(("match", (i, j)))
-    base.demands.append((base.vertex("y", 0), base.vertex("y", k)))
-    base.demand_origins.append(("ypath", None))
-    base.pattern_edge_count = len(base.demands)
-    return _finalize(base, CostFlavor.UNIT, None)
+        base.add_demand("match", (i, j), base.vertex("lp", (i, j)), base.vertex("l", (i, j)))
+    base.add_demand("ypath", None, base.vertex("y", 0), base.vertex("y", k))
+    return base
+
+
+def build_case4(mcc: MccInstance) -> GadgetBundle:
+    """Matching demands: l'_{i,j}-l_{i,j} plus y0-yk; E1 shortened, E0 added."""
+    return _finalize(_case4_base(mcc), CostFlavor.UNIT, None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +326,7 @@ def detect_bipartite_sides(H: DemandGraph, k: int) -> tuple[int, int, tuple[int,
     verts = sorted(H.vertices())
     if len(verts) != q + 2:
         raise GadgetError(f"H_2k member needs {q + 2} vertices, got {len(verts)}")
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for a, b in H.pairs:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = _adjacency(H)
     for ia, a in enumerate(verts):
         for b in verts[ia + 1 :]:
             rest = [w for w in verts if w not in (a, b)]
@@ -365,27 +343,28 @@ def build_case5(
     """Two-root gadget for a demand graph containing a 2-by-k(k-1) biclique.
 
     side_map is (r1 vertex of H, r2 vertex of H, big side order); it
-    defaults to the lowest-index valid assignment.
+    defaults to the lowest-index valid assignment and must cover every
+    vertex of H.
     """
-    k = mcc.k
-    q = k * (k - 1)
     if side_map is None:
-        side_map = detect_bipartite_sides(H, k)
+        side_map = detect_bipartite_sides(H, mcc.k)
     r1_h, r2_h, big = side_map
-    if len(big) != q or len(set(big) | {r1_h, r2_h}) != q + 2:
-        raise GadgetError("side_map must cover all k(k-1)+2 vertices of H")
-    verts = H.vertices()
-    if not ({r1_h, r2_h} | set(big)) <= verts:
-        raise GadgetError("side_map names vertices outside H")
-    adj = {v: set() for v in verts}
-    for a, b in H.pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    for w in big:
-        if w not in adj[r1_h] or w not in adj[r2_h]:
-            raise GadgetError("side_map roots must be adjacent to the whole big side")
+    vmap = {("side2", 0): r1_h, ("side2", 1): r2_h}
+    vmap.update({("big", i): h for i, h in enumerate(big)})
+    witness = HardWitness(HardCase.H_2K, mcc.k, vmap)
+    if set(vmap.values()) != H.vertices() or not verify_witness(H, witness):
+        raise GadgetError(
+            "side_map must place a 2-by-k(k-1) biclique on all vertices of H"
+        )
+    return _finalize(_case5_base(mcc, H, side_map), CostFlavor.UNIT, None)
 
-    base = _new_base(HardCase.H_2K, k, 7, mcc)
+
+def _case5_base(
+    mcc: MccInstance, H: DemandGraph, side: tuple[int, int, tuple[int, ...]]
+) -> _BaseGadget:
+    """Case-5 base gadget; side already places a biclique on every vertex of H."""
+    k = mcc.k
+    base = _BaseGadget(HardCase.H_2K, k, 7, mcc)
     mcc.require_nonempty_classes()
     col = mcc.coloring
     base.add_vertex("r1", None, "r_1")
@@ -437,23 +416,19 @@ def build_case5(
                 "Ell", (pa, pb), base.vertex("l", pa), base.vertex("l", pb), 7
             )
 
+    r1_h, r2_h, big = side
     big_slot = {h: lp[i] for i, h in enumerate(big)}
     for i, j in lp:
-        base.demands.append((r1, base.vertex("l", (i, j))))
-        base.demand_origins.append(("bip1", (i, j)))
-        base.demands.append((r2, base.vertex("l", (i, j))))
-        base.demand_origins.append(("bip2", (i, j)))
+        base.add_demand("bip1", (i, j), r1, base.vertex("l", (i, j)))
+        base.add_demand("bip2", (i, j), r2, base.vertex("l", (i, j)))
     for a, b in H.pairs:
         if {a, b} == {r1_h, r2_h}:
-            base.demands.append((r1, r2))
-            base.demand_origins.append(("r1r2", None))
+            base.add_demand("r1r2", None, r1, r2)
         elif a in big_slot and b in big_slot:
             pa, pb = sorted((big_slot[a], big_slot[b]))
-            base.demands.append((base.vertex("l", pa), base.vertex("l", pb)))
-            base.demand_origins.append(("ll", (pa, pb)))
+            base.add_demand("ll", (pa, pb), base.vertex("l", pa), base.vertex("l", pb))
         # side-big pairs are already in the biclique demands
-    base.pattern_edge_count = len(base.demands)
-    return _finalize(base, CostFlavor.UNIT, None)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +446,6 @@ def build_general(
     demonstration graphs below the classifier threshold; the witness is
     re-verified either way.
     """
-    from .classifier import verify_witness as _verify
-
     k = mcc.k
     if witness is None:
         verdict = classify(H, k)
@@ -482,94 +455,56 @@ def build_general(
     else:
         if witness.k != k:
             raise GadgetError("witness parameter k does not match the MCC instance")
-        if not _verify(H, witness):
+        if not verify_witness(H, witness):
             raise GadgetError("supplied witness fails verification against H")
-    base, h_to_base = _pattern_base(mcc, witness, H)
-
     image = set(witness.vertex_map.values())
-    pattern_edges = {
-        (min(a, b), max(a, b))
-        for a, b in H.pairs
-        if a in image and b in image
-    }
-    if base.case_tag is not HardCase.H_2K:
-        assert len(pattern_edges) == len(base.demands), "pattern must be induced"
-    base.pattern_edge_count = len(pattern_edges)
+    pattern = DemandGraph(
+        [(a, b) for a, b in H.pairs if a in image and b in image]
+    )
+    base, h_to_base = _pattern_base(mcc, witness, pattern)
+    assert len(base.demands) == pattern.size, "pattern must be induced"
 
     for v in sorted(H.vertices()):
         if v not in image:
             h_to_base[v] = base.add_vertex("h_extra", v, f"h_{v}")
-    extra = 0
+    pattern_pairs = set(pattern.pairs)
     for a, b in H.pairs:
-        key = (min(a, b), max(a, b))
-        if key in pattern_edges:
-            continue
-        extra += 1
-        base.add_edge("extra", key, h_to_base[a], h_to_base[b], base.L)
-        base.demands.append((h_to_base[a], h_to_base[b]))
-        base.demand_origins.append(("extra", key))
-    base.extra_demand_count = extra
+        if (a, b) not in pattern_pairs:
+            base.add_edge("extra", (a, b), h_to_base[a], h_to_base[b], base.L)
+            base.add_demand("extra", (a, b), h_to_base[a], h_to_base[b])
     return _finalize(base, CostFlavor.UNIT, None)
 
 
 def _pattern_base(
-    mcc: MccInstance, witness: HardWitness, H: DemandGraph
+    mcc: MccInstance, witness: HardWitness, pattern: DemandGraph
 ) -> tuple[_BaseGadget, dict[int, int]]:
     """Build the witness case's base gadget and map image vertices into it."""
     k = mcc.k
     lp = _leaf_pairs(k)
     vmap = witness.vertex_map
-    h_to_base: dict[int, int] = {}
     tag = witness.case_tag
     if tag is HardCase.H_2K:
-        big = tuple(
-            vmap[key] for key in sorted(k_ for k_ in vmap if k_[0] == "big")
-        )
+        big = tuple(vmap[key] for key in sorted(k_ for k_ in vmap if k_[0] == "big"))
         side = (vmap[("side2", 0)], vmap[("side2", 1)], big)
-        image = set(vmap.values())
-        sub = DemandGraph(
-            [
-                (a, b)
-                for a, b in H.pairs
-                if a in image and b in image
-            ]
-        )
-        bundle_base = _case5_base_only(mcc, sub, side)
-        base = bundle_base
-        h_to_base[side[0]] = base.vertex("r1", None)
-        h_to_base[side[1]] = base.vertex("r2", None)
-        for i, h in enumerate(big):
-            h_to_base[h] = base.vertex("l", lp[i])
-        return base, h_to_base
-    if tag is HardCase.H_KK:
-        base = _case4_base_only(mcc)
-        count = k * (k - 1) + 1
-        for i in range(count - 1):
-            h_to_base[vmap[("m", i, 0)]] = base.vertex("lp", lp[i])
-            h_to_base[vmap[("m", i, 1)]] = base.vertex("l", lp[i])
-        h_to_base[vmap[("m", count - 1, 0)]] = base.vertex("y", 0)
-        h_to_base[vmap[("m", count - 1, 1)]] = base.vertex("y", k)
-        return base, h_to_base
-    base = _star_case_base(mcc, tag)
-    h_to_base[vmap["center"]] = base.vertex("r", None)
-    leaves = [vmap[key] for key in sorted(k_ for k_ in vmap if isinstance(k_, tuple) and k_[0] == "leaf")]
-    for i, h in enumerate(leaves):
-        h_to_base[h] = base.vertex("l", lp[i])
-    h_to_base[vmap["edge_u"]] = base.vertex("y", 0)
-    h_to_base[vmap["edge_v"]] = base.vertex("y", k)
-    return base, h_to_base
-
-
-def _case4_base_only(mcc: MccInstance) -> _BaseGadget:
-    bundle = build_case4(mcc)
-    return bundle.base
-
-
-def _case5_base_only(
-    mcc: MccInstance, H: DemandGraph, side: tuple[int, int, tuple[int, ...]]
-) -> _BaseGadget:
-    bundle = build_case5(mcc, H, side)
-    return bundle.base
+        base = _case5_base(mcc, pattern, side)
+        roles = {side[0]: ("r1", None), side[1]: ("r2", None)}
+        roles.update({h: ("l", lp[i]) for i, h in enumerate(big)})
+    elif tag is HardCase.H_KK:
+        base = _case4_base(mcc)
+        roles = {}
+        for i, pair in enumerate(lp):
+            roles[vmap[("m", i, 0)]] = ("lp", pair)
+            roles[vmap[("m", i, 1)]] = ("l", pair)
+        roles[vmap[("m", len(lp), 0)]] = ("y", 0)
+        roles[vmap[("m", len(lp), 1)]] = ("y", k)
+    else:
+        base = _star_case_base(mcc, tag)
+        leaves = sorted(k_ for k_ in vmap if isinstance(k_, tuple) and k_[0] == "leaf")
+        roles = {vmap["center"]: ("r", None)}
+        roles.update({vmap[key]: ("l", lp[i]) for i, key in enumerate(leaves)})
+        roles[vmap["edge_u"]] = ("y", 0)
+        roles[vmap["edge_v"]] = ("y", k)
+    return base, {h: base.vertex(*role) for h, role in roles.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +544,7 @@ def _base_costs(base: _BaseGadget, flavor: CostFlavor, eps: Optional[Fraction]) 
 def _poly_factor(base: _BaseGadget, eps: Optional[Fraction]) -> int:
     if eps is None:
         raise GadgetError("poly-cost case-6 gadgets need eps")
-    total = base.pattern_edge_count + base.extra_demand_count
-    x = Fraction(base.L * total) / eps
+    x = Fraction(base.L * len(base.demands)) / eps
     return -((-x.numerator) // x.denominator)
 
 
@@ -630,41 +564,35 @@ def _finalize(
     expansion = expand_to_unit(graph, mode)
     demand_graph = DemandGraph(base.demands)
     instance = SlsnInstance(expansion.graph, base.L, demand_graph)
-    family: list[str] = [""] * expansion.graph.edge_count
-    for b_idx, ids in enumerate(expansion.edge_map):
-        for e_idx in ids:
-            family[e_idx] = base.families[b_idx]
-    g = _g_for(base, flavor, eps)
+    # expand_to_unit numbers the hops of base edge i right after those of i-1
+    family = tuple(
+        fam for fam, ids in zip(base.families, expansion.edge_map) for _ in ids
+    )
     return GadgetBundle(
         instance=instance,
         demand_graph=demand_graph,
         case_tag=base.case_tag,
         k=base.k,
-        g_value=g,
+        g_value=_g_for(base, flavor, eps),
         cost_flavor=flavor,
-        eps=eps,
         base=base,
         expansion=expansion,
-        edge_family=tuple(family),
+        edge_family=family,
         mcc=base.mcc,
     )
 
 
 def _g_for(base: _BaseGadget, flavor: CostFlavor, eps: Optional[Fraction]) -> Fraction:
-    if base.extra_demand_count:
-        pattern_g = _pattern_g(base, flavor)
-        pad = Fraction(base.L * base.extra_demand_count)
-        if flavor is CostFlavor.UNIT:
-            return pattern_g + pad
-        return _poly_factor(base, eps) * pattern_g + pad
-    return _pattern_g(base, flavor)
-
-
-def _pattern_g(base: _BaseGadget, flavor: CostFlavor) -> Fraction:
+    pads = base.extra_demand_count
     if base.case_tag is HardCase.H_2K:
         r_edge = any(origin[0] == "r1r2" for origin in base.demand_origins)
-        return _case5_g(base.k, base.pattern_edge_count, r_edge, flavor)
-    return g_value_of(base.case_tag, base.k, None, flavor)
+        pattern_g = _case5_g(base.k, len(base.demands) - pads, r_edge, flavor)
+    else:
+        pattern_g = g_value_of(base.case_tag, base.k, None, flavor)
+    if not pads:
+        return pattern_g
+    factor = 1 if flavor is CostFlavor.UNIT else _poly_factor(base, eps)
+    return factor * pattern_g + base.L * pads
 
 
 def _case5_g(k: int, size: int, r_edge: bool, flavor: CostFlavor) -> Fraction:
@@ -756,9 +684,10 @@ def _check_clique(mcc: MccInstance, clique: Iterable[int]) -> dict[int, int]:
         if c in by_color:
             raise GadgetError(f"two clique vertices share color {c}")
         by_color[c] = v
+    edges = set(mcc.edges)
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            if not mcc.has_edge(vs[i], vs[j]):
+            if _mcc_key(vs[i], vs[j]) not in edges:
                 raise GadgetError(f"clique misses edge ({vs[i]},{vs[j]})")
     return by_color
 
@@ -767,154 +696,76 @@ def _mcc_key(u: int, v: int) -> tuple[int, int]:
     return (min(u, v), max(u, v))
 
 
-def _witness_base_edges(base: _BaseGadget, by_color: dict[int, int]) -> list[int]:
-    """Base edge ids of the clique witness solution for the bundle's case."""
-    k = base.k
-    out: list[int] = []
-    tag = base.case_tag
-    if tag is HardCase.H_2K:
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                e = _mcc_key(by_color[i], by_color[j])
-                out.append(base.edge_id("E11", (i, j)))
-                out.append(base.edge_id("E12", e))
-                out.append(base.edge_id("E13", (e, by_color[i], j)))
-                out.append(base.edge_id("E13", (e, by_color[j], i)))
-        for i in range(1, k + 1):
-            out.append(base.edge_id("E21", i))
-            out.append(base.edge_id("E22", by_color[i]))
-        for i, j in _leaf_pairs(k):
-            out.append(base.edge_id("E23", (by_color[i], j)))
-            out.append(base.edge_id("Exl", (by_color[i], j)))
-        for origin in base.demand_origins:
-            if origin[0] == "ll":
-                out.append(base.edge_id("Ell", origin[1]))
-        return out
-    # star-skeleton cases
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            e = _mcc_key(by_color[i], by_color[j])
-            out.append(base.edge_id("E1", (i, j)))
-            out.append(base.edge_id("E2", e))
-            out.append(base.edge_id("E3", (e, by_color[i], j)))
-            out.append(base.edge_id("E3", (e, by_color[j], i)))
-    for i, j in _leaf_pairs(k):
-        out.append(base.edge_id("E4", (by_color[i], j)))
-        out.append(base.edge_id("E5", (by_color[i], j)))
-    for i in range(1, k + 1):
-        v = by_color[i]
-        out.append(base.edge_id("Eyx", (i, v)))
-        out.append(base.edge_id("Exy", (i, v)))
-        last_j = f_iter(i, k - 1, 0)
-        for j in range(1, k + 1):
-            if j != i and j != last_j:
-                out.append(base.edge_id("Exx", (v, j)))
-    if tag is HardCase.H_KK:
-        for i, j in _leaf_pairs(k):
-            out.append(base.edge_id("E0", (i, j)))
-    return out
-
-
 def _witness_base_paths(base: _BaseGadget, by_color: dict[int, int]) -> list[list[int]]:
     """Per demand, the base-edge id sequence of the witness path."""
     k = base.k
-    paths: list[list[int]] = []
+    eid = base.edge_id
 
     def leaf_chain(i: int, j: int) -> list[int]:
+        """r -> l_{i,j} through the clique edge of colors i and j."""
         e = _mcc_key(by_color[i], by_color[j])
-        pair = (min(i, j), max(i, j))
         return [
-            base.edge_id("E1", pair),
-            base.edge_id("E2", e),
-            base.edge_id("E3", (e, by_color[i], j)),
-            base.edge_id("E4", (by_color[i], j)),
-            base.edge_id("E5", (by_color[i], j)),
+            eid("E1", (min(i, j), max(i, j))),
+            eid("E2", e),
+            eid("E3", (e, by_color[i], j)),
+            eid("E4", (by_color[i], j)),
+            eid("E5", (by_color[i], j)),
+        ]
+
+    def bip1(i: int, j: int) -> list[int]:
+        """r_1 -> l_{i,j} through the clique edge of colors i and j."""
+        e = _mcc_key(by_color[i], by_color[j])
+        return [
+            eid("E11", (min(i, j), max(i, j))),
+            eid("E12", e),
+            eid("E13", (e, by_color[i], j)),
+            eid("Exl", (by_color[i], j)),
+        ]
+
+    def bip2(i: int, j: int) -> list[int]:
+        """r_2 -> l_{i,j} through the clique vertex of color i."""
+        return [
+            eid("E21", i),
+            eid("E22", by_color[i]),
+            eid("E23", (by_color[i], j)),
+            eid("Exl", (by_color[i], j)),
         ]
 
     def zigzag(i: int) -> list[int]:
         v = by_color[i]
-        seq = [base.edge_id("Eyx", (i, v))]
+        seq = [eid("Eyx", (i, v))]
         j = f_next(i, 0)
         for step in range(1, k):
-            seq.append(base.edge_id("E4", (v, j)))
+            seq.append(eid("E4", (v, j)))
             if step < k - 1:
-                seq.append(base.edge_id("Exx", (v, j)))
+                seq.append(eid("Exx", (v, j)))
                 j = f_next(i, j)
             else:
-                seq.append(base.edge_id("Exy", (i, v)))
+                seq.append(eid("Exy", (i, v)))
         return seq
 
-    for origin in base.demand_origins:
-        kind = origin[0]
+    paths: list[list[int]] = []
+    for kind, data in base.demand_origins:
         if kind == "leaf":
-            i, j = origin[1]
-            paths.append(leaf_chain(i, j))
+            paths.append(leaf_chain(*data))
         elif kind == "match":
-            i, j = origin[1]
-            paths.append([base.edge_id("E0", origin[1])] + leaf_chain(i, j))
+            paths.append([eid("E0", data)] + leaf_chain(*data))
         elif kind == "ypath":
-            whole: list[int] = []
-            for i in range(1, k + 1):
-                whole.extend(zigzag(i))
-            paths.append(whole)
+            paths.append([b for i in range(1, k + 1) for b in zigzag(i)])
         elif kind == "ry0":
-            e = _mcc_key(by_color[1], by_color[2])
-            paths.append(
-                [
-                    base.edge_id("E1", (1, 2)),
-                    base.edge_id("E2", e),
-                    base.edge_id("E3", (e, by_color[1], 2)),
-                    base.edge_id("Eyx", (1, by_color[1])),
-                ]
-            )
+            paths.append(leaf_chain(1, 2)[:3] + [eid("Eyx", (1, by_color[1]))])
         elif kind == "ryk":
-            e = _mcc_key(by_color[k - 1], by_color[k])
-            paths.append(
-                [
-                    base.edge_id("E1", (k - 1, k)),
-                    base.edge_id("E2", e),
-                    base.edge_id("E3", (e, by_color[k], k - 1)),
-                    base.edge_id("E4", (by_color[k], k - 1)),
-                    base.edge_id("Exy", (k, by_color[k])),
-                ]
-            )
+            paths.append(leaf_chain(k, k - 1)[:4] + [eid("Exy", (k, by_color[k]))])
         elif kind == "bip1":
-            i, j = origin[1]
-            e = _mcc_key(by_color[i], by_color[j])
-            paths.append(
-                [
-                    base.edge_id("E11", (min(i, j), max(i, j))),
-                    base.edge_id("E12", e),
-                    base.edge_id("E13", (e, by_color[i], j)),
-                    base.edge_id("Exl", (by_color[i], j)),
-                ]
-            )
+            paths.append(bip1(*data))
         elif kind == "bip2":
-            i, j = origin[1]
-            paths.append(
-                [
-                    base.edge_id("E21", i),
-                    base.edge_id("E22", by_color[i]),
-                    base.edge_id("E23", (by_color[i], j)),
-                    base.edge_id("Exl", (by_color[i], j)),
-                ]
-            )
-        elif kind == "ll":
-            paths.append([base.edge_id("Ell", origin[1])])
+            paths.append(bip2(*data))
         elif kind == "r1r2":
-            e = _mcc_key(by_color[1], by_color[2])
-            paths.append(
-                [
-                    base.edge_id("E11", (1, 2)),
-                    base.edge_id("E12", e),
-                    base.edge_id("E13", (e, by_color[1], 2)),
-                    base.edge_id("E23", (by_color[1], 2)),
-                    base.edge_id("E22", by_color[1]),
-                    base.edge_id("E21", 1),
-                ]
-            )
+            paths.append(bip1(1, 2)[:3] + bip2(1, 2)[:3][::-1])
+        elif kind == "ll":
+            paths.append([eid("Ell", data)])
         elif kind == "extra":
-            paths.append([base.edge_id("extra", origin[1])])
+            paths.append([eid("extra", data)])
         else:
             raise AssertionError(f"unknown demand origin {kind}")
     return paths
@@ -950,27 +801,19 @@ def witness_solution(bundle: GadgetBundle, clique: Iterable[int]) -> Solution:
     """Materialize the clique-derived solution with one path per demand.
 
     The clique is validated against the MCC graph (a non-clique raises).
-    The returned solution's cost is whatever the listed edges sum to; the
-    published threshold is bundle.g_value, and tests compare the two.
+    The solution's edge set is the union of its witness paths, and its
+    cost is what those edges sum to; the published threshold is
+    bundle.g_value, and tests compare the two.
     """
     by_color = _check_clique(bundle.mcc, clique)
-    base_edges = _witness_base_edges(bundle.base, by_color)
-    if bundle.base.extra_demand_count:
-        base_edges = list(base_edges) + [
-            idx
-            for idx, fam in enumerate(bundle.base.families)
-            if fam == "extra"
-        ]
-    expanded: set[int] = set()
-    for b_idx in set(base_edges):
-        expanded.update(bundle.expansion.edge_map[b_idx])
-    base_paths = _witness_base_paths(bundle.base, by_color)
     paths = []
-    for (s, t), seq in zip(bundle.instance.demands.pairs, base_paths):
+    for (s, t), seq in zip(
+        bundle.instance.demands.pairs, _witness_base_paths(bundle.base, by_color)
+    ):
         first_u, first_v, _ = bundle.base.edges[seq[0]]
         start = s if s in (first_u, first_v) else t
         paths.append(_expand_base_path(bundle, start, seq))
-    solution = Solution.build(bundle.instance, expanded, paths)
+    solution = Solution.build(bundle.instance, {e for p in paths for e in p.edges}, paths)
     solution.validate(bundle.instance)
     return solution
 
@@ -1111,18 +954,14 @@ def _check_zigzag(bundle: GadgetBundle, path: Path, k: int) -> tuple[bool, str]:
     base = bundle.base
     roles = base.roles
     n_base = len(roles)
-
-    def role(v: int) -> tuple:
-        return roles[v]
-
     verts = list(path.vertices)
     pos_ms = [(pos, v) for pos, v in enumerate(verts) if v < n_base]
-    if not pos_ms or role(pos_ms[0][1]) != ("y", 0):
+    if not pos_ms or roles[pos_ms[0][1]] != ("y", 0):
         verts = verts[::-1]
         pos_ms = [(pos, v) for pos, v in enumerate(verts) if v < n_base]
-    if role(pos_ms[0][1]) != ("y", 0) or role(pos_ms[-1][1]) != ("y", k):
+    if roles[pos_ms[0][1]] != ("y", 0) or roles[pos_ms[-1][1]] != ("y", k):
         return False, "endpoints are not y_0 and y_k"
-    marks = [(pos, role(v)[1]) for pos, v in pos_ms if role(v)[0] == "y"]
+    marks = [(pos, roles[v][1]) for pos, v in pos_ms if roles[v][0] == "y"]
     if [yi for _, yi in marks] != list(range(k + 1)):
         return False, f"y sequence {[yi for _, yi in marks]}"
     for i in range(1, k + 1):
@@ -1130,7 +969,7 @@ def _check_zigzag(bundle: GadgetBundle, path: Path, k: int) -> tuple[bool, str]:
         if hi - lo != 4 * k:
             return False, f"segment {i} has length {hi - lo}, want {4 * k}"
         inner = [v for pos, v in pos_ms if lo < pos < hi]
-        vs = {role(v)[1][0] for v in inner if role(v)[0] in ("x", "xp")}
+        vs = {roles[v][1][0] for v in inner if roles[v][0] in ("x", "xp")}
         if len(vs) != 1:
             return False, f"segment {i} mixes vertices {vs}"
         (v,) = vs
@@ -1142,7 +981,7 @@ def _check_zigzag(bundle: GadgetBundle, path: Path, k: int) -> tuple[bool, str]:
             j = f_next(i, j)
             want.append(("x", (v, j)))
             want.append(("xp", (v, j)))
-        if [role(w) for w in inner] != want:
+        if [roles[w] for w in inner] != want:
             return False, f"segment {i} role sequence off"
     if marks[-1][0] - marks[0][0] != len(verts) - 1:
         return False, "path extends beyond y_0..y_k"

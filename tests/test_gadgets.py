@@ -231,6 +231,12 @@ class TestCase5:
         with pytest.raises(GadgetError):
             build_case5(mcc_yes, DemandGraph([(0, 1), (2, 3)]))
 
+    def test_side_map_must_cover_H(self, mcc_yes, bip_H):
+        # pairs on a vertex outside the side map would otherwise be dropped
+        H = DemandGraph(list(bip_H.pairs) + [(0, 4), (1, 4)])
+        with pytest.raises(GadgetError):
+            build_case5(mcc_yes, H, (0, 1, (2, 3)))
+
     def test_side_detection(self, bip_H):
         a, b_, big = detect_bipartite_sides(bip_H, 2)
         assert (a, b_) == (0, 1) and big == (2, 3)
@@ -286,6 +292,25 @@ class TestGeneralCase:
     def test_small_non_hard_rejected_without_witness(self, mcc_yes):
         with pytest.raises(GadgetError):
             build_general(mcc_yes, DemandGraph([(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize(
+        "flavor, g", [(CostFlavor.UNIT, 237 + 2 * 36), (CostFlavor.POLY, 324 * 3144 + 2 * 36)]
+    )
+    def test_k3_star_with_pads_witness_meets_g(self, mcc_k3, flavor, g):
+        # k=3 star pattern (6 leaves, edge 7-8) plus two pad demands, L = 36;
+        # poly factor ceil(L * |H| / eps) = 36 * 9 = 324 at eps 1
+        H = DemandGraph([(0, leaf) for leaf in range(1, 7)] + [(7, 8), (9, 10), (0, 11)])
+        vmap = {"center": 0, "edge_u": 7, "edge_v": 8}
+        vmap.update({("leaf", i): i + 1 for i in range(6)})
+        b = build_general(mcc_k3, H, HardWitness(HardCase.H_K0_STAR, 3, vmap))
+        assert b.base.extra_demand_count == 2
+        if flavor is CostFlavor.POLY:
+            b = apply_poly_cost(b, 1)
+        assert b.g_value == g
+        w = witness_solution(b, [0, 1, 2])
+        assert feasibility_check(b.instance, w.edge_subset).feasible
+        assert verify_structure(b, w).all_ok
+        assert w.total_cost == b.g_value
 
     def test_matching_pattern_embedding(self, mcc_yes):
         H = DemandGraph([(0, 1), (2, 3), (4, 5), (6, 7)])
@@ -364,23 +389,28 @@ class TestPolyCost:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize(
-        "build",
-        [build_case1, build_case2, build_case3, build_case4, build_case5],
-        ids=lambda f: f.__name__,
+        "build, flavor",
+        [
+            pytest.param(build, flavor, id=build.__name__ + suffix)
+            for flavor, suffix in ((CostFlavor.POLY, ""), (CostFlavor.UNIT, "-unit"))
+            for build in (build_case1, build_case2, build_case3, build_case4, build_case5)
+        ],
     )
-    def test_clique_witness_meets_g(self, build, k):
+    def test_clique_witness_meets_g(self, build, flavor, k):
         # the clique witness attains the counting lower bound in g_value_of
         mcc = MccInstance.build(
             k, [(a, b) for a in range(k) for b in range(a + 1, k)], k,
             {v: v + 1 for v in range(k)},
         )
+        H = None
         if build is build_case5:
             H = DemandGraph([(a, 2 + i) for a in (0, 1) for i in range(k * (k - 1))])
-            b = apply_poly_cost(build_case5(mcc, H), 1)
-            assert b.g_value == g_value_of(HardCase.H_2K, k, H, CostFlavor.POLY)
+            b = build_case5(mcc, H)
         else:
-            b = apply_poly_cost(build(mcc), 1)
-            assert b.g_value == g_value_of(b.case_tag, k, None, CostFlavor.POLY)
+            b = build(mcc)
+        if flavor is CostFlavor.POLY:
+            b = apply_poly_cost(b, 1)
+        assert b.g_value == g_value_of(b.case_tag, k, H, flavor)
         w = witness_solution(b, range(k))
         assert feasibility_check(b.instance, w.edge_subset).feasible
         assert verify_structure(b, w).all_ok
