@@ -4,14 +4,16 @@ Four pieces, used together:
   - opt_low: the smallest edge cost C whose cost-threshold subgraph is
     feasible.  C brackets the optimum: C <= OPT <= n^2 C.
   - min_dist: scaled-cost dynamic program.  Costs are rescaled to integers
-    ceil(n*c(e)/(eps*C)) and a table d(v, i) of minimum path length at
-    exact scaled cost i is filled for i up to the budget floor(n/eps); the
-    best entry over all i is returned.  If any s-t path has cost at most
+    ceil(n*c(e)/(eps*C)), and per vertex only the Pareto labels
+    (scaled cost, length) of walks from s are kept, up to the budget
+    floor(n/eps): a level is kept only where the length falls below that
+    of every cheaper level.  The last label of t, the shortest at the
+    least scaled cost, is returned.  If any s-t path has cost at most
     (1-2*eps)*C and length D, the returned path costs at most C and is no
     longer than D.  An edge scaled above the budget is never relaxed, so
-    the table only depends on the costs clamped to budget + 1: approx_const
-    builds one table per distinct clamped vector, and most exponents of
-    its grid clamp every edge.
+    the labels only depend on the costs clamped to budget + 1:
+    approx_const builds one table per distinct clamped vector, and most
+    exponents of its grid clamp every edge.
   - approx_const: the constant-demand FPTAS.  It runs the exact solvers'
     chain search (exact_const._enumerate_chains and _search_best_union),
     but each guessed subpath carries a guessed cost scale (1+eps')^{c'} * C
@@ -35,7 +37,7 @@ costs are exact integers.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,20 +137,31 @@ class ScaledCosts:
 
 
 class _MinDistTable:
-    """d(v, i): min length of an s-v walk of exact scaled cost i.
+    """Pareto labels of the scaled-cost DP from source.
 
-    Scaled costs of zero (possible when an edge costs 0) are relaxed to a
-    fixpoint within each budget level; positive lengths guarantee that the
-    level relaxation terminates and that optimal walks are simple.
+    Let d(v, i) be the least length of an s-v walk of exact scaled cost i.
+    Per vertex, labels keeps (i, d(v, i)) only for the levels i at which
+    d(v, i) falls below d(v, j) for every j < i, so lengths strictly fall
+    as levels rise and the last label is best().  A dropped entry can be
+    neither best() nor on the parent chain path() walks: if a predecessor
+    (i - c, a) of (i, w) is no shorter than some (j, a) with j < i - c,
+    then level j + c already reaches w at no greater length.
+
+    Levels are settled in increasing order from a heap of the pending
+    ones, so an empty level costs nothing.  At each level a vertex takes
+    its least-length candidate, ties going to the lowest arc position,
+    scaled costs of zero (possible when an edge costs 0) are relaxed to a
+    fixpoint, and a candidate is kept only if it is shorter than the
+    vertex's last label.  Positive lengths make the fixpoint terminate and
+    the kept walks simple.
 
     An edge whose scaled cost exceeds the budget is never relaxed, so
-    replacing every such value by budget + 1 leaves the table, best() and
+    replacing every such value by budget + 1 leaves the labels, best() and
     path() unchanged: the (n-1)*max_c cap on levels stays at or above the
     budget either way.  Cost vectors that agree once clamped therefore
-    share one table.  Level i sweeps only the arcs of scaled cost 1..i, in
-    arc order, so ties go to the same arc as in a sweep over all arcs.
-    lengths are the edge lengths as integers over a common denominator
-    (core.as_integers), computed once by callers building many tables.
+    share one table.  lengths are the edge lengths as integers over a
+    common denominator (core.as_integers), computed once by callers
+    building many tables.
     """
 
     def __init__(
@@ -161,70 +174,67 @@ class _MinDistTable:
     ):
         self.graph = graph
         self.source = source
-        self.scaled = scaled
         n = graph.vertex_count
         max_c = max(scaled, default=0)
         # No simple path carries exact scaled cost above (n-1)*max_c.
         budget = min(budget, max(n - 1, 0) * max_c)
-        self.levels: list[list[Optional[int]]] = []
-        self.parent: dict[tuple[int, int], tuple[int, int, int]] = {}
-        base: list[Optional[int]] = [None] * n
-        base[source] = 0
-        arcs = []
+        self.labels: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.parent: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
+        zero_arcs: list[tuple[int, int, int]] = []
+        out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         for idx, e in enumerate(graph.edges):
-            arcs.append((e.u, e.v, idx))
-            arcs.append((e.v, e.u, idx))
-        zero_arcs = [(a, b, idx) for a, b, idx in arcs if scaled[idx] == 0]
-        # live arcs by scaled cost; each joins the sweep at its own level
-        live = sorted(
-            (scaled[idx], pos, a, b, idx)
-            for pos, (a, b, idx) in enumerate(arcs)
-            if 1 <= scaled[idx] <= budget
-        )
-        swept: list[tuple[int, int, int, int, int]] = []  # (pos, a, b, idx, cost)
-        k = 0
-
-        def relax_level(i: int, row: list[Optional[int]]) -> None:
+            for pos, (a, b) in ((2 * idx, (e.u, e.v)), (2 * idx + 1, (e.v, e.u))):
+                if scaled[idx] == 0:
+                    zero_arcs.append((a, b, idx))
+                elif scaled[idx] <= budget:
+                    out[a].append((scaled[idx], pos, b, idx))
+        for arcs in out:
+            arcs.sort()
+        # pending[i][w]: the best candidate so far for (i, w), as
+        # (length, arc position, parent); levels is the heap of pending levels
+        pending: dict[int, dict[int, tuple]] = {0: {source: (0, -1, None)}}
+        levels = [0]
+        while levels:
+            i = heapq.heappop(levels)
+            cands = pending.pop(i)
+            row = {w: cand[0] for w, cand in cands.items()}
+            via = {w: cand[2] for w, cand in cands.items()}
             # zero scaled-cost edges stay within the level
             changed = bool(zero_arcs)
             while changed:
                 changed = False
                 for a, b, idx in zero_arcs:
-                    if row[a] is not None:
+                    if a in row:
                         nl = row[a] + lengths[idx]
-                        if row[b] is None or nl < row[b]:
+                        if b not in row or nl < row[b]:
                             row[b] = nl
-                            self.parent[(i, b)] = (a, idx, i)
+                            via[b] = (a, idx, i)
                             changed = True
-
-        relax_level(0, base)
-        self.levels.append(base)
-        for i in range(1, budget + 1):
-            while k < len(live) and live[k][0] <= i:
-                ci, pos, a, b, idx = live[k]
-                bisect.insort(swept, (pos, a, b, idx, ci))
-                k += 1
-            row: list[Optional[int]] = [None] * n
-            for _, a, b, idx, ci in swept:
-                prev = self.levels[i - ci][a]
-                if prev is not None:
-                    nl = prev + lengths[idx]
-                    if row[b] is None or nl < row[b]:
-                        row[b] = nl
-                        self.parent[(i, b)] = (a, idx, i - ci)
-            relax_level(i, row)
-            self.levels.append(row)
+            for a, length in row.items():
+                kept = self.labels[a]
+                if kept and length >= kept[-1][1]:
+                    continue  # a lower level reaches a at no greater length
+                kept.append((i, length))
+                self.parent[(i, a)] = via[a]
+                for c, pos, w, idx in out[a]:
+                    j = i + c
+                    if j > budget:
+                        break
+                    cand = (length + lengths[idx], pos, (a, idx, i))
+                    slot = pending.get(j)
+                    if slot is None:
+                        slot = pending[j] = {}
+                        heapq.heappush(levels, j)
+                    if w not in slot or cand < slot[w]:
+                        slot[w] = cand
 
     def best(self, target: int) -> Optional[tuple[int, int]]:
         """(level, scaled integer length) minimizing length, or None."""
-        out = None
-        for i, row in enumerate(self.levels):
-            val = row[target]
-            if val is not None and (out is None or val < out[1]):
-                out = (i, val)
-        return out
+        kept = self.labels[target]
+        return kept[-1] if kept else None
 
-    def path(self, target: int) -> Optional[Path]:
+    def walk(self, target: int) -> Optional[tuple[list[int], list[int]]]:
+        """Vertices and edge indices of path(target), from the source."""
         got = self.best(target)
         if got is None:
             return None
@@ -233,13 +243,19 @@ class _MinDistTable:
         edge_seq: list[int] = []
         w = target
         while w != self.source or i != 0:
-            a, idx, pi = self.parent[(i, w)]
+            a, idx, i = self.parent[(i, w)]
             edge_seq.append(idx)
             vertices.append(a)
-            w, i = a, pi
+            w = a
         vertices.reverse()
         edge_seq.reverse()
-        return Path.from_edge_sequence(self.graph, vertices, edge_seq)
+        return vertices, edge_seq
+
+    def path(self, target: int) -> Optional[Path]:
+        got = self.walk(target)
+        if got is None:
+            return None
+        return Path.from_edge_sequence(self.graph, *got)
 
 
 def min_dist(
@@ -325,15 +341,25 @@ def approx_const(
     # Distinct scaled-cost vectors over the exponent grid, clamped to
     # budget + 1 (see _MinDistTable); each vector is solved once per
     # source, and per pair the distinct resulting paths become that pair's
-    # options.
+    # options.  The factor falls as the exponent rises: while even the
+    # cheapest positive edge scales above the budget every edge clamps,
+    # and once the dearest scales to at most 1 every later vector is the
+    # same (1 per positive cost), so only the exponents between are built.
     base = 1 + eps_i
+    positive = [e.cost for e in graph.edges if e.cost > 0]
+    least, greatest = min(positive, default=0), max(positive, default=0)
+    clamped = tuple(budget + 1 if e.cost > 0 else 0 for e in graph.edges)
     vectors: dict[tuple[int, ...], None] = {}
-    scale = base ** lo * C
+    factor = n / (eps_i * base ** lo * C)
     for _ in range(lo, hi + 1):
-        factor = n / (eps_i * scale)
-        vec = tuple(min(_ceil_frac(e.cost * factor), budget + 1) for e in graph.edges)
+        if least * factor > budget:
+            vec = clamped
+        else:
+            vec = tuple(min(_ceil_frac(e.cost * factor), budget + 1) for e in graph.edges)
         vectors.setdefault(vec, None)
-        scale *= base
+        if greatest * factor <= 1:
+            break
+        factor /= base
     lengths = as_integers([e.length for e in graph.edges])
     tables: dict[tuple[tuple[int, ...], int], _MinDistTable] = {}
 
@@ -350,9 +376,9 @@ def approx_const(
         if pair not in options:
             found: dict[frozenset[int], None] = {}
             for vec in vectors:
-                path = table_for(vec, pair[0]).path(pair[1])
-                if path is not None:
-                    found.setdefault(frozenset(path.edges), None)
+                walk = table_for(vec, pair[0]).walk(pair[1])
+                if walk is not None:
+                    found.setdefault(frozenset(walk[1]), None)
             options[pair] = list(found)
         return options[pair]
 

@@ -16,12 +16,13 @@ from slsn.approx import (
 )
 from slsn.core import (
     DemandGraph,
+    Path,
     SlsnInstance,
     WeightedGraph,
     as_integers,
     feasibility_check,
 )
-from slsn.exact_const import solve_unit_length
+from slsn.exact_const import length_distances, solve_unit_length
 from slsn.generators import random_instance
 from slsn.oracle import brute_force_restricted_path, brute_force_slsn
 from slsn.star_dst import solve_slst, star_frontiers, star_terminals
@@ -46,6 +47,66 @@ def certified_best_length(graph, s, t, eps, C):
             if w not in seq:
                 stack.append((w, ln + e.length, co + e.cost, seq + (w,)))
     return best
+
+
+def dense_min_dist_table(graph, source, scaled, budget, lengths):
+    """The scaled-cost DP as a dense sweep, the reference for _MinDistTable:
+    {target: (best, path)} for every vertex.
+
+    Row i holds d(v, i), the least length of a source-v walk of exact
+    scaled cost i, for every level up to the budget (capped at
+    (n-1)*max_c).  Level i sweeps the arcs of scaled cost 1..i in arc
+    order with a strict <, then relaxes the zero-cost arcs to a fixpoint.
+    best is the least length over all levels, ties to the lowest level;
+    path walks the parents back from it.
+    """
+    n = graph.vertex_count
+    budget = min(budget, max(n - 1, 0) * max(scaled, default=0))
+    arcs = []
+    for idx, e in enumerate(graph.edges):
+        arcs += [(e.u, e.v, idx), (e.v, e.u, idx)]
+    zero_arcs = [(a, b, idx) for a, b, idx in arcs if scaled[idx] == 0]
+    levels, parent = [], {}
+    for i in range(budget + 1):
+        row = [None] * n
+        if i == 0:
+            row[source] = 0
+        for a, b, idx in arcs:
+            c = scaled[idx]
+            if 1 <= c <= i and levels[i - c][a] is not None:
+                nl = levels[i - c][a] + lengths[idx]
+                if row[b] is None or nl < row[b]:
+                    row[b] = nl
+                    parent[(i, b)] = (a, idx, i - c)
+        changed = True
+        while changed:
+            changed = False
+            for a, b, idx in zero_arcs:
+                if row[a] is not None:
+                    nl = row[a] + lengths[idx]
+                    if row[b] is None or nl < row[b]:
+                        row[b] = nl
+                        parent[(i, b)] = (a, idx, i)
+                        changed = True
+        levels.append(row)
+
+    out = {}
+    for target in range(n):
+        best = None
+        for i, row in enumerate(levels):
+            if row[target] is not None and (best is None or row[target] < best[1]):
+                best = (i, row[target])
+        path = None
+        if best is not None:
+            i, w = best[0], target
+            vertices, edge_seq = [target], []
+            while w != source or i != 0:
+                w, idx, i = parent[(i, w)]
+                vertices.append(w)
+                edge_seq.append(idx)
+            path = Path.from_edge_sequence(graph, vertices[::-1], edge_seq[::-1])
+        out[target] = (best, path)
+    return out
 
 
 def fixpoint_frontiers(graph, terminals, lengths, costs, L, cap=None):
@@ -224,6 +285,31 @@ class TestMinDist:
         assert checked >= 40
 
 
+    def test_matches_dense_reference(self):
+        # small integer lengths, parallel edges and zero-cost arcs make ties
+        # common; scaled values run past the budget
+        rng = random.Random(507)
+        tables = 0
+        for _ in range(700):
+            n = rng.randint(2, 9)
+            edges = []
+            for _ in range(rng.randint(1, 2 * n)):
+                u, v = rng.choice(edges)[:2] if edges and rng.random() < 0.2 else rng.sample(range(n), 2)
+                edges.append((u, v, rng.randint(1, 3), 1))
+            g = WeightedGraph(n, edges)
+            lengths = [e.length.numerator for e in g.edges]
+            for budget in (3, 8, 20):
+                scaled = tuple(
+                    0 if rng.random() < 0.2 else rng.randint(1, budget + 2) for _ in edges
+                )
+                s = rng.randrange(n)
+                table = _MinDistTable(g, s, scaled, budget, lengths)
+                ref = dense_min_dist_table(g, s, scaled, budget, lengths)
+                for t in range(n):
+                    assert (table.best(t), table.path(t)) == ref[t]
+                tables += 1
+        assert tables >= 2000
+
     def test_clamped_costs_give_the_same_table(self):
         # approx_const shares one table among cost vectors that agree once
         # every value above the budget is replaced by budget + 1
@@ -282,6 +368,22 @@ class TestApproxConst:
         with pytest.raises(ValueError):
             approx_const(inst, Fraction(2))
 
+    def test_within_ratio_of_exact_beyond_oracle(self):
+        # m = 17..24 is out of the oracle's reach; the exact unit-length
+        # solver is the bar
+        rng = random.Random(718)
+        eps = Fraction(1, 4)
+        solved = 0
+        for _ in range(12):
+            inst = _unit_length_pair(rng)
+            exact = solve_unit_length(inst)
+            got = approx_const(inst, eps)
+            assert (got is None) == (exact is None)
+            if exact is not None:
+                solved += 1
+                assert exact.total_cost <= got.total_cost <= (1 + eps) * exact.total_cost
+        assert solved >= 10
+
 
 class TestApproxStar:
     def test_star_of_direct_edges(self):
@@ -332,18 +434,36 @@ class TestApproxStar:
         assert solved >= 8
 
 
-def _unit_length_star(rng):
-    """A connected unit-length star instance with n 20-40 and m = 2n."""
-    n = rng.randint(20, 40)
+def _connected_unit_graph(rng, n, m):
+    """A random spanning tree on n vertices plus random edges up to m,
+    unit lengths and costs 1-10."""
     order = list(range(n))
     rng.shuffle(order)
     pairs = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
-    while len(pairs) < 2 * n:
+    while len(pairs) < m:
         pairs.add(tuple(sorted(rng.sample(range(n), 2))))
-    edges = [(u, v, 1, rng.randint(1, 10)) for u, v in sorted(pairs)]
+    return WeightedGraph(n, [(u, v, 1, rng.randint(1, 10)) for u, v in sorted(pairs)])
+
+
+def _unit_length_pair(rng):
+    """A connected unit-length instance with n 10-12, m 17-2n and p = 2,
+    both demands drawn among the pairs more than one edge and at most L
+    apart."""
+    n = rng.randint(10, 12)
+    g = _connected_unit_graph(rng, n, rng.randint(17, 2 * n))
+    L = rng.randint(3, 5)
+    dist = length_distances(g)
+    near = [(s, t) for s in range(n) for t in range(s + 1, n) if 1 < dist[s][t] <= L]
+    return make_instance(g, L, rng.sample(near, 2))
+
+
+def _unit_length_star(rng):
+    """A connected unit-length star instance with n 20-40 and m = 2n."""
+    n = rng.randint(20, 40)
+    g = _connected_unit_graph(rng, n, 2 * n)
     root = rng.randrange(n)
     leaves = rng.sample([v for v in range(n) if v != root], rng.randint(2, 4))
-    return make_instance(WeightedGraph(n, edges), rng.randint(3, 6), [(root, t) for t in leaves])
+    return make_instance(g, rng.randint(3, 6), [(root, t) for t in leaves])
 
 
 def _assert_tree_height(inst, sol):
