@@ -50,7 +50,6 @@ from .core import (
     Solution,
     WeightedGraph,
     adjacency,
-    as_integers,
     dijkstra,
     feasibility_check,
 )
@@ -159,27 +158,16 @@ class _MinDistTable:
     replacing every such value by budget + 1 leaves the labels, best() and
     path() unchanged: the (n-1)*max_c cap on levels stays at or above the
     budget either way.  Cost vectors that agree once clamped therefore
-    share one table.  lengths are the edge lengths as integers over a
-    common denominator (core.as_integers), computed once by callers
-    building many tables.
+    share one table.  Lengths are the graph's integer lengths; arcs comes
+    from arcs(), which the tables of all sources for one vector share.
     """
 
-    def __init__(
-        self,
-        graph: WeightedGraph,
-        source: int,
-        scaled: tuple[int, ...],
-        budget: int,
-        lengths: list[int],
-    ):
-        self.graph = graph
-        self.source = source
+    @staticmethod
+    def arcs(graph: WeightedGraph, scaled: tuple[int, ...], budget: int) -> tuple:
+        """(level cap, zero-cost arcs, sorted positive arcs per vertex)."""
         n = graph.vertex_count
-        max_c = max(scaled, default=0)
         # No simple path carries exact scaled cost above (n-1)*max_c.
-        budget = min(budget, max(n - 1, 0) * max_c)
-        self.labels: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.parent: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
+        budget = min(budget, max(n - 1, 0) * max(scaled, default=0))
         zero_arcs: list[tuple[int, int, int]] = []
         out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         for idx, e in enumerate(graph.edges):
@@ -188,8 +176,17 @@ class _MinDistTable:
                     zero_arcs.append((a, b, idx))
                 elif scaled[idx] <= budget:
                     out[a].append((scaled[idx], pos, b, idx))
-        for arcs in out:
-            arcs.sort()
+        for row in out:
+            row.sort()
+        return budget, zero_arcs, out
+
+    def __init__(self, graph: WeightedGraph, source: int, arcs: tuple):
+        self.graph = graph
+        self.source = source
+        lengths = graph.int_lengths
+        budget, zero_arcs, out = arcs
+        self.labels: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+        self.parent: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
         # pending[i][w]: the best candidate so far for (i, w), as
         # (length, arc position, parent); levels is the heap of pending levels
         pending: dict[int, dict[int, tuple]] = {0: {source: (0, -1, None)}}
@@ -274,9 +271,7 @@ def min_dist(
         raise ValueError("C must be positive")
     scaled = ScaledCosts.compute(graph, eps, C)
     budget = _floor_frac(Fraction(graph.vertex_count) / eps)
-    lengths = as_integers([e.length for e in graph.edges])
-    table = _MinDistTable(graph, s, scaled.values, budget, lengths)
-    return table.path(t)
+    return _MinDistTable(graph, s, _MinDistTable.arcs(graph, scaled.values, budget)).path(t)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +355,15 @@ def approx_const(
         if greatest * factor <= 1:
             break
         factor /= base
-    lengths = as_integers([e.length for e in graph.edges])
+    arc_lists: dict[tuple[int, ...], tuple] = {}
     tables: dict[tuple[tuple[int, ...], int], _MinDistTable] = {}
 
     def table_for(vec: tuple[int, ...], source: int) -> _MinDistTable:
         key = (vec, source)
         if key not in tables:
-            tables[key] = _MinDistTable(graph, source, vec, budget, lengths)
+            if vec not in arc_lists:
+                arc_lists[vec] = _MinDistTable.arcs(graph, vec, budget)
+            tables[key] = _MinDistTable(graph, source, arc_lists[vec])
         return tables[key]
 
     # options[pair]: the distinct paths found for the pair, as edge sets
@@ -475,8 +472,8 @@ def build_height_table(
     scaled = ScaledCosts.compute(graph, eps, C)
     cap = _ceil_frac(Fraction(n) ** 3 * (1 + eps) / eps)
     # heights are ints over D, the lcm of the length and L denominators
-    D = math.lcm(instance.L.denominator, *(e.length.denominator for e in graph.edges))
-    lengths = [int(e.length * D) for e in graph.edges]
+    D = math.lcm(instance.L.denominator, graph.length_denominator)
+    lengths = [x * (D // graph.length_denominator) for x in graph.int_lengths]
     frontiers = star_frontiers(graph, terminals, lengths, scaled.values, int(instance.L * D), cap)
     return HeightTable(terminals, frontiers, cap, D)
 
@@ -522,15 +519,13 @@ def approx_star(
 def _shortest_path_tree(graph: WeightedGraph, union: set[int], root: int) -> set[int]:
     """Edges of a shortest-path tree of the union from root, ties broken by cost.
 
-    The (length, cost) key is one exact integer per edge: lengths and costs
-    as integers over common denominators, and length * K + cost with K
-    above the union's total integer cost, which no simple path reaches.
+    The (length, cost) key is one exact integer per edge: the graph's
+    integer lengths and costs, and length * K + cost with K above the
+    union's total integer cost, which no simple path reaches.
     """
-    order = list(union)
-    lengths = as_integers([graph.edges[idx].length for idx in order])
-    costs = as_integers([graph.edges[idx].cost for idx in order])
-    K = sum(costs) + 1
-    weight = {idx: ln * K + c for idx, ln, c in zip(order, lengths, costs)}
+    lengths, costs = graph.int_lengths, graph.int_costs
+    K = sum(costs[idx] for idx in union) + 1
+    weight = {idx: lengths[idx] * K + costs[idx] for idx in union}
     _, parent = dijkstra(adjacency(graph, union, weight), {root: 0})
     return {idx for _, idx in parent.values()}
 

@@ -2,7 +2,9 @@
 
 Everything here is exact: edge lengths, edge costs and the global distance
 bound L are `fractions.Fraction` values, so feasibility and optimality
-comparisons never go through floating point.
+comparisons never go through floating point.  The searches compare each
+graph's cached integer view, its lengths and costs over graph-wide common
+denominators, and report Fractions.
 
 Design notes:
   - Graphs are undirected multigraphs.  Parallel edges are kept as-is; all
@@ -34,6 +36,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if value.isascii() and value.isdigit():
+            return Fraction(int(value))  # the common case, without Fraction's parser
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -48,14 +52,12 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def as_integers(values: Sequence[Fraction]) -> list[int]:
-    """Exact rationals scaled by their least common denominator, as integers.
-
-    Scaling keeps order and sums exact, so the integers compare and add
-    like the rationals they stand for.
-    """
-    denom = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (denom // x.denominator) for x in values]
+def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(ints, D): exact rationals times their least common denominator D,
+    which compare and add like the rationals they stand for."""
+    ratios = [x.as_integer_ratio() for x in values]
+    denom = math.lcm(*(d for _, d in ratios))
+    return tuple([num * (denom // d) for num, d in ratios]), denom
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,14 @@ class WeightedGraph:
     Invariants enforced at construction: no self-loops, strictly positive
     lengths, nonnegative costs, endpoints within range.  Edge indices are
     the position of each edge in the ``edges`` tuple.
+
+    The integer view is fixed at construction: ``int_lengths[i]`` is edge
+    i's length times ``length_denominator``, the lcm of all length
+    denominators, and ``int_costs`` and ``cost_denominator`` likewise.
     """
 
-    __slots__ = ("vertex_count", "edges", "labels", "_adj")
+    __slots__ = ("vertex_count", "edges", "labels", "_adj", "int_lengths",
+                 "length_denominator", "int_costs", "cost_denominator")
 
     def __init__(
         self,
@@ -98,9 +105,9 @@ class WeightedGraph:
                 raise ValueError(f"edge endpoint out of range: ({u},{v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} not allowed")
-            if length <= 0:
+            if length.numerator <= 0:  # a Fraction's sign is its numerator's
                 raise ValueError(f"edge ({u},{v}) has non-positive length")
-            if cost < 0:
+            if cost.numerator < 0:
                 raise ValueError(f"edge ({u},{v}) has negative cost")
             built.append(Edge(u, v, length, cost))
         self.edges = tuple(built)
@@ -115,6 +122,8 @@ class WeightedGraph:
             adj[e.u].append(idx)
             adj[e.v].append(idx)
         self._adj = tuple(tuple(lst) for lst in adj)
+        self.int_lengths, self.length_denominator = _scaled([e.length for e in self.edges])
+        self.int_costs, self.cost_denominator = _scaled([e.cost for e in self.edges])
 
     @property
     def edge_count(self) -> int:
@@ -126,10 +135,8 @@ class WeightedGraph:
 
     def total_cost(self, edge_subset: Iterable[int]) -> Fraction:
         """Sum of costs over a set of edge indices, each counted once."""
-        total = Fraction(0)
-        for idx in set(edge_subset):
-            total += self.edges[idx].cost
-        return total
+        costs = self.int_costs
+        return Fraction(sum(costs[idx] for idx in set(edge_subset)), self.cost_denominator)
 
     def has_unit_lengths(self) -> bool:
         return all(e.length == 1 for e in self.edges)
@@ -138,7 +145,7 @@ class WeightedGraph:
         return all(e.cost == 1 for e in self.edges)
 
     def has_integer_lengths(self) -> bool:
-        return all(e.length.denominator == 1 for e in self.edges)
+        return self.length_denominator == 1
 
 
 class DemandGraph:
@@ -238,14 +245,12 @@ class Path:
             raise ValueError("vertex/edge sequence lengths inconsistent")
         if len(set(vertices)) != len(vertices):
             raise ValueError("path repeats a vertex")
-        length = Fraction(0)
-        cost = Fraction(0)
         for pos, idx in enumerate(edges):
             e = graph.edges[idx]
             if {e.u, e.v} != {vertices[pos], vertices[pos + 1]}:
                 raise ValueError(f"edge {idx} does not join consecutive vertices")
-            length += e.length
-            cost += e.cost
+        length = Fraction(sum(graph.int_lengths[idx] for idx in edges), graph.length_denominator)
+        cost = Fraction(sum(graph.int_costs[idx] for idx in edges), graph.cost_denominator)
         return Path(tuple(vertices), tuple(edges), length, cost)
 
     @staticmethod
@@ -357,17 +362,14 @@ def dijkstra(adj, seeds: dict, targets: Iterable[int] = ()) -> tuple[dict, dict]
     return settled, parent
 
 
-def _lengths(graph: WeightedGraph) -> list[Fraction]:
-    return [e.length for e in graph.edges]
-
-
 def shortest_length_in_subgraph(
     graph: WeightedGraph, edge_subset: Iterable[int], source: int, target: int
 ) -> Optional[Fraction]:
     """Exact Dijkstra over a subset of edges; None when disconnected."""
-    adj = adjacency(graph, edge_subset, _lengths(graph))
-    dist, _ = dijkstra(adj, {source: Fraction(0)}, (target,))
-    return dist.get(target)
+    adj = adjacency(graph, edge_subset, graph.int_lengths)
+    dist, _ = dijkstra(adj, {source: 0}, (target,))
+    d = dist.get(target)
+    return None if d is None else Fraction(d, graph.length_denominator)
 
 
 def _demand_searches(instance: SlsnInstance, adj) -> list[tuple[int, int, dict, dict]]:
@@ -390,13 +392,18 @@ def feasibility_check(instance: SlsnInstance, edge_subset: Iterable[int]) -> Fea
 
     Demand i is satisfied iff the subgraph contains an s_i-t_i path of length
     at most L; each reported length is the exact shortest-path length in the
-    subgraph (None when disconnected).
+    subgraph (None when disconnected).  The search runs on the graph's
+    integer lengths over D, where d / D <= L iff d <= floor(L * D).
     """
-    adj = adjacency(instance.graph, edge_subset, _lengths(instance.graph))
+    graph = instance.graph
+    adj = adjacency(graph, edge_subset, graph.int_lengths)
+    D = graph.length_denominator
+    cap = instance.L.numerator * D // instance.L.denominator
     statuses = []
     for _, dst, dist, _ in _demand_searches(instance, adj):
-        length = dist.get(dst)
-        statuses.append(DemandStatus(length is not None and length <= instance.L, length))
+        d = dist.get(dst)
+        length = None if d is None else Fraction(d, D)
+        statuses.append(DemandStatus(d is not None and d <= cap, length))
     return FeasibilityReport(tuple(statuses))
 
 
@@ -525,28 +532,27 @@ def canonical_path_assignment(
     shortest paths unique: candidate paths are compared by total length and
     then by an additive per-edge tie-break weight of 2^-(index+1), which
     orders any two distinct edge sets differently.  Both keys are folded
-    into one exact integer per edge: with D the common denominator of the
-    subset's lengths, b = |subset| and r the edge's rank in the sorted
-    subset, the weight is (length * D << b) + 2^(b-1-r).  The tie bits of a
-    simple path sum to less than 2^b, so integer order is the (length,
-    tie-break) order.  The unique "shortest" path is found with Dijkstra.
+    into one exact integer per edge: with the graph's integer lengths over
+    its graph-wide denominator, b = |subset| and r the edge's rank in the
+    sorted subset, the weight is (length << b) + 2^(b-1-r).  The tie bits
+    of a simple path sum to less than 2^b, so integer order is the (length,
+    tie-break) order and key >> b is the shortest length, which decides
+    feasibility.  One Dijkstra runs per distinct source.
 
-    Raises ValueError when edge_subset is not feasible.
+    Raises ValueError when edge_subset is not feasible or holds an index
+    outside 0..m-1.
     """
-    subset = set(edge_subset)
-    report = feasibility_check(instance, subset)
-    if not report.feasible:
-        raise ValueError("canonical_path_assignment requires a feasible edge subset")
     graph = instance.graph
-    ranked = sorted(subset)
-    lengths = as_integers([graph.edges[idx].length for idx in ranked])
-    b = len(ranked)
-    weight = {
-        idx: (length << b) + (1 << (b - 1 - rank))
-        for rank, (idx, length) in enumerate(zip(ranked, lengths))
-    }
+    ranked = sorted(set(edge_subset))
+    if ranked and (ranked[0] < 0 or ranked[-1] >= graph.edge_count):
+        raise ValueError("invalid edge index in edge_subset")
+    b, lengths = len(ranked), graph.int_lengths
+    weight = {idx: (lengths[idx] << b) + (1 << (b - 1 - rank)) for rank, idx in enumerate(ranked)}
+    cap = instance.L.numerator * graph.length_denominator // instance.L.denominator
     paths = []
-    for src, dst, _, parent in _demand_searches(instance, adjacency(graph, subset, weight)):
+    for src, dst, dist, parent in _demand_searches(instance, adjacency(graph, ranked, weight)):
+        if dst not in dist or dist[dst] >> b > cap:
+            raise ValueError("canonical_path_assignment requires a feasible edge subset")
         vertices = [dst]
         edge_seq = []
         w = dst

@@ -33,7 +33,6 @@ from .core import (
     SlsnInstance,
     Solution,
     WeightedGraph,
-    as_integers,
     canonical_path_assignment,
     dijkstra,
 )
@@ -302,8 +301,7 @@ def solve_slst(instance: SlsnInstance) -> Optional[Solution]:
     if not graph.has_unit_lengths():
         raise ValueError("the exact star solver requires unit edge lengths")
     L = min(int(instance.L), max(graph.vertex_count - 1, 0))
-    costs = as_integers([e.cost for e in graph.edges])
-    frontiers = star_frontiers(graph, terminals, [1] * graph.edge_count, costs, L)
+    frontiers = star_frontiers(graph, terminals, [1] * graph.edge_count, graph.int_costs, L)
     frontier = frontiers[(root, (1 << len(terminals)) - 1)]
     if not frontier:
         return None

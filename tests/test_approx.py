@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from slsn.core import (
     Path,
     SlsnInstance,
     WeightedGraph,
-    as_integers,
     feasibility_check,
 )
 from slsn.exact_const import length_distances, solve_unit_length
@@ -191,7 +191,9 @@ class TestStarFrontiers:
             inst = random_instance(rng, star=True, length_kind="rational", cost_range=(0, 3))
             g = inst.graph
             _, terminals = star_terminals(inst)
-            L, *lengths = as_integers([inst.L] + [e.length for e in g.edges])
+            D = math.lcm(inst.L.denominator, g.length_denominator)
+            L = int(inst.L * D)
+            lengths = [x * (D // g.length_denominator) for x in g.int_lengths]
             costs = [int(e.cost) for e in g.edges]
             for cap in (None, sum(costs) // 2):
                 got = star_frontiers(g, terminals, lengths, costs, L, cap)
@@ -303,7 +305,7 @@ class TestMinDist:
                     0 if rng.random() < 0.2 else rng.randint(1, budget + 2) for _ in edges
                 )
                 s = rng.randrange(n)
-                table = _MinDistTable(g, s, scaled, budget, lengths)
+                table = _MinDistTable(g, s, _MinDistTable.arcs(g, scaled, budget))
                 ref = dense_min_dist_table(g, s, scaled, budget, lengths)
                 for t in range(n):
                     assert (table.best(t), table.path(t)) == ref[t]
@@ -324,10 +326,9 @@ class TestMinDist:
             budget = int(g.vertex_count / eps)
             clamped = tuple(min(c, budget + 1) for c in raw)
             clamped_trials += clamped != raw
-            lengths = as_integers([e.length for e in g.edges])
             for s in range(g.vertex_count):
-                full = _MinDistTable(g, s, raw, budget, lengths)
-                cut = _MinDistTable(g, s, clamped, budget, lengths)
+                full = _MinDistTable(g, s, _MinDistTable.arcs(g, raw, budget))
+                cut = _MinDistTable(g, s, _MinDistTable.arcs(g, clamped, budget))
                 for t in range(g.vertex_count):
                     assert cut.best(t) == full.best(t)
                     assert cut.path(t) == full.path(t)

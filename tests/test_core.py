@@ -4,12 +4,18 @@ from itertools import combinations
 
 import pytest
 
+import slsn.core
 from slsn.core import (
     CostMode,
     DemandGraph,
+    DemandStatus,
+    FeasibilityReport,
     Path,
     SlsnInstance,
     WeightedGraph,
+    _demand_searches,
+    adjacency,
+    as_fraction,
     canonical_path_assignment,
     expand_to_unit,
     feasibility_check,
@@ -34,6 +40,65 @@ def all_simple_paths(graph, s, t):
             if w not in vs:
                 stack.append((w, ln + e.length, co + e.cost, vs + (w,), es + (idx,)))
     return out
+
+
+def fraction_feasibility_check(instance, edge_subset):
+    """feasibility_check with Fraction lengths throughout, its reference."""
+    adj = adjacency(instance.graph, edge_subset, [e.length for e in instance.graph.edges])
+    statuses = []
+    for _, dst, dist, _ in _demand_searches(instance, adj):
+        length = dist.get(dst)
+        statuses.append(DemandStatus(length is not None and length <= instance.L, length))
+    return FeasibilityReport(tuple(statuses))
+
+
+def tie_heavy_instance(rng, scale=1):
+    """A seeded instance drawn so that the integer view is exercised.
+
+    Lengths mix denominators 1, 2, 3 and 6 from a small set, so equal path
+    lengths are common; a third of the edges get a parallel copy; costs are
+    rational; L's denominator 5 or 7 never divides the lengths' lcm; half
+    the demand sets are stars rooted at the largest vertex.  Every length
+    and L are multiplied by scale.
+    """
+    n = rng.randint(2, 7)
+    lengths = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(3, 2)]
+    edges = []
+    for _ in range(rng.randint(1, 12)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(lengths) * scale, Fraction(rng.randint(0, 9), rng.randint(1, 4))))
+        if rng.random() < 0.3:
+            edges.append((u, v, edges[-1][2], Fraction(rng.randint(0, 9), rng.randint(1, 4))))
+    g = WeightedGraph(n, edges)
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    if rng.random() < 0.5 and n > 2:
+        demands = [(v, n - 1) for v in rng.sample(range(n - 1), rng.randint(2, n - 1))]
+    else:
+        demands = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+    L = Fraction(rng.randint(1, 15), rng.choice([5, 7])) * scale
+    subset = {i for i in range(g.edge_count) if rng.random() < 0.8}
+    return make_instance(g, L, demands), subset
+
+
+class TestAsFraction:
+    def test_integer_strings(self):
+        assert as_fraction("12") == 12 and as_fraction("007") == 7
+        assert isinstance(as_fraction("12"), Fraction)
+
+    def test_other_strings_parse_as_fraction_does(self):
+        # only strings of ASCII digits skip Fraction's own parser
+        for text, value in ((" 7 ", 7), ("+3", 3), ("\u0663", 3), ("3/6", Fraction(1, 2))):
+            assert as_fraction(text) == Fraction(text) == value
+        try:  # Fraction accepts underscores from Python 3.11 on
+            expected = Fraction("1_000")
+        except ValueError:
+            with pytest.raises(ValueError):
+                as_fraction("1_000")
+        else:
+            assert as_fraction("1_000") == expected == 1000
+        for text in ("\u00b2", "", "1/0", "x"):
+            with pytest.raises(ValueError):
+                as_fraction(text)
 
 
 class TestGraphModel:
@@ -88,6 +153,42 @@ class TestFeasibility:
         inst = make_instance(triangle_unit, 1, [(0, 1)])
         with pytest.raises(ValueError):
             feasibility_check(inst, {99})
+
+    def test_matches_fraction_reference(self):
+        # per-demand flags and exact lengths, on instances where ties,
+        # disconnected demands and L off the lengths' denominator are common
+        rng = random.Random(909)
+        seen = {"feasible": 0, "too long": 0, "disconnected": 0}
+        for _ in range(300):
+            inst, subset = tie_heavy_instance(rng)
+            rep = feasibility_check(inst, subset)
+            assert rep == fraction_feasibility_check(inst, subset)
+            for d in rep.per_demand:
+                assert d.length is None or type(d.length) is Fraction
+                seen["disconnected" if d.length is None else "feasible" if d.satisfied else "too long"] += 1
+        assert min(seen.values()) >= 50
+
+    def test_scaling_lengths_and_L(self):
+        # lengths and L times c: every length times c, flags and canonical
+        # paths unchanged
+        for c in (Fraction(3), Fraction(5, 2), Fraction(1, 7)):
+            rng, scaled_rng = random.Random(910), random.Random(910)
+            for _ in range(100):
+                inst, subset = tie_heavy_instance(rng)
+                big, same = tie_heavy_instance(scaled_rng, c)
+                assert same == subset
+                rep, rep_c = feasibility_check(inst, subset), feasibility_check(big, subset)
+                assert [d.satisfied for d in rep_c.per_demand] == [d.satisfied for d in rep.per_demand]
+                assert [d.length for d in rep_c.per_demand] == [
+                    None if d.length is None else d.length * c for d in rep.per_demand
+                ]
+                if rep.feasible:
+                    paths = canonical_path_assignment(inst, subset)
+                    paths_c = canonical_path_assignment(big, subset)
+                    assert [(p.vertices, p.edges, p.cost) for p in paths_c] == [
+                        (p.vertices, p.edges, p.cost) for p in paths
+                    ]
+                    assert [p.length for p in paths_c] == [p.length * c for p in paths]
 
     def test_matches_exhaustive_enumeration(self, rng):
         # full subset sweep against simple-path enumeration, m <= 8; odd
@@ -249,6 +350,54 @@ class TestCanonicalPathAssignment:
         inst = make_instance(triangle_unit, 1, [(0, 2)])
         with pytest.raises(ValueError):
             canonical_path_assignment(inst, {0, 1})
+
+    def test_invalid_edge_index(self, triangle_unit):
+        # edge -1 would wrap to edge 2, the 0-2 edge, and satisfy the demand
+        inst = make_instance(triangle_unit, 1, [(0, 2)])
+        for bad in (-1, triangle_unit.edge_count):
+            with pytest.raises(ValueError):
+                canonical_path_assignment(inst, {bad})
+
+    def test_agrees_with_fraction_reference(self):
+        # raises exactly on infeasible subsets; each path is a shortest one,
+        # with its Fraction length and cost
+        rng = random.Random(911)
+        feasible = 0
+        for _ in range(300):
+            inst, subset = tie_heavy_instance(rng)
+            ref = fraction_feasibility_check(inst, subset)
+            if not ref.feasible:
+                with pytest.raises(ValueError):
+                    canonical_path_assignment(inst, subset)
+                continue
+            feasible += 1
+            paths = canonical_path_assignment(inst, subset)
+            g = inst.graph
+            for path, d in zip(paths, ref.per_demand):
+                assert set(path.edges) <= subset
+                assert path.length == d.length == sum(g.edges[i].length for i in path.edges)
+                assert path.cost == sum(g.edges[i].cost for i in path.edges)
+        assert feasible >= 50
+
+    def test_one_search_per_distinct_source(self, monkeypatch):
+        calls = []
+        search = slsn.core.dijkstra
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(slsn.core, "dijkstra", counted)
+        g = WeightedGraph(5, [(u, v, 1, 1) for u in range(5) for v in range(u + 1, 5)])
+        subset = set(range(g.edge_count))
+        for pairs, sources in (
+            ([(0, 4), (1, 4), (2, 4)], 1),  # a star: searched once, from its root
+            ([(0, 1), (0, 2), (3, 4)], 2),
+            ([(0, 1), (2, 3), (1, 4)], 3),
+        ):
+            calls.clear()
+            canonical_path_assignment(make_instance(g, 1, pairs), subset)
+            assert len(calls) == sources
 
     def test_shared_subpath_exhaustive(self, theta_graph):
         # exhaustive check: some consistent assignment exists, and ours is one
