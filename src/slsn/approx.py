@@ -15,31 +15,30 @@ Four pieces, used together:
     approx_const builds one table per distinct clamped vector, and most
     exponents of its grid clamp every edge.
   - approx_const: the constant-demand FPTAS.  It runs the exact solvers'
-    chain search (exact_const._enumerate_chains and _search_best_union),
-    but each guessed subpath carries a guessed cost scale (1+eps')^{c'} * C
-    rather than a hop budget, resolved through min_dist.  eps' = eps/4
-    internally, so the overall ratio is (1+eps); feasibility is never
-    relaxed.
+    chain search (exact_const._solve_by_chains), but each guessed subpath
+    carries a guessed cost scale (1+eps')^{c'} * C rather than a hop
+    budget, resolved through min_dist.  eps' = eps/4 internally, so the
+    overall ratio is (1+eps); feasibility is never relaxed.
   - approx_star: the star (1+eps) solver.  A Dreyfus-Wagner style program
     over (root vertex, terminal subset) computes, per scaled-cost budget,
     the smallest achievable tree height; the cheapest budget whose height
     meets L is taken.  It is the star DP that the exact star solver also
     runs (star_dst.star_frontiers), here on scaled costs with a cost cap:
     per (vertex, subset) a Pareto frontier of (height, scaled cost) labels,
-    which is exactly the height table read along its steps.  Heights are
-    integers over D, the lcm of the length and L denominators, so the fill
-    adds and compares ints; HeightTable.query returns them as Fractions.
+    which is exactly the height table read along its steps.
 
-All arithmetic is exact: lengths and heights are integers over a common
-denominator, converted back to Fractions at the API boundary, and scaled
-costs are exact integers.
+All arithmetic is exact, and every search reads only the graph's integer
+view.  Lengths and tree heights are ints over the graph's length
+denominator, held against the instance's length_cap; opt_low, the scaled
+costs and the exponent grid read the ints over the cost denominator.
+Fractions appear only in what is returned: paths, solutions, CostBounds.C
+and HeightTable.query.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -53,13 +52,7 @@ from .core import (
     dijkstra,
     feasibility_check,
 )
-from .exact_const import (
-    _enumerate_chains,
-    _finish,
-    _fits,
-    _search_best_union,
-    length_distances,
-)
+from .exact_const import _finish, _fits, _solve_by_chains, length_distances
 from .star_dst import Label, star_frontiers, star_terminals, tree_edges
 
 
@@ -84,25 +77,17 @@ def opt_low(instance: SlsnInstance) -> Optional[CostBounds]:
     graph = instance.graph
     if graph.edge_count == 0:
         raise ValueError("opt_low requires at least one edge")
-    thresholds = sorted(set(e.cost for e in graph.edges))
-    for c in thresholds:
-        subset = [i for i, e in enumerate(graph.edges) if e.cost <= c]
+    costs = graph.int_costs
+    for c in sorted(set(costs)):
+        subset = [i for i, ci in enumerate(costs) if ci <= c]
         if feasibility_check(instance, subset).feasible:
-            return CostBounds(c)
+            return CostBounds(Fraction(c, graph.cost_denominator))
     return None
 
 
 def _zero_cost_edges(graph: WeightedGraph) -> set[int]:
     """The edges of cost 0: the subgraph opt_low tests when it returns C = 0."""
-    return {idx for idx, e in enumerate(graph.edges) if e.cost == 0}
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
+    return {idx for idx, c in enumerate(graph.int_costs) if c == 0}
 
 
 def _ceil_log(base: Fraction, x: Fraction) -> int:
@@ -131,7 +116,10 @@ class ScaledCosts:
         if eps <= 0 or C <= 0:
             raise ValueError("eps and C must be positive")
         n = graph.vertex_count
-        values = tuple(_ceil_frac(Fraction(n) * e.cost / (eps * C)) for e in graph.edges)
+        # n * (c / D) / (eps * C) = c * num / den, for each integer cost c over D
+        scale = Fraction(n) / (eps * C * graph.cost_denominator)
+        num, den = scale.numerator, scale.denominator
+        values = tuple(-(-c * num // den) for c in graph.int_costs)
         return ScaledCosts(values, eps, C, n)
 
 
@@ -270,7 +258,7 @@ def min_dist(
     if C <= 0:
         raise ValueError("C must be positive")
     scaled = ScaledCosts.compute(graph, eps, C)
-    budget = _floor_frac(Fraction(graph.vertex_count) / eps)
+    budget = graph.vertex_count * eps.denominator // eps.numerator
     return _MinDistTable(graph, s, _MinDistTable.arcs(graph, scaled.values, budget)).path(t)
 
 
@@ -327,34 +315,39 @@ def approx_const(
         return None
     if bounds.C == 0:
         return _finish(instance, _zero_cost_edges(graph))  # feasible at cost 0
-    C = bounds.C
     eps_i = eps / 4
     n = graph.vertex_count
     lo, hi = _exponent_range(n, eps_i)
-    budget = _floor_frac(Fraction(n) / eps_i)
+    budget = n * eps_i.denominator // eps_i.numerator
 
     # Distinct scaled-cost vectors over the exponent grid, clamped to
     # budget + 1 (see _MinDistTable); each vector is solved once per
     # source, and per pair the distinct resulting paths become that pair's
-    # options.  The factor falls as the exponent rises: while even the
-    # cheapest positive edge scales above the budget every edge clamps,
-    # and once the dearest scales to at most 1 every later vector is the
-    # same (1 per positive cost), so only the exponents between are built.
-    base = 1 + eps_i
-    positive = [e.cost for e in graph.edges if e.cost > 0]
+    # options.  Exponent c' scales an integer cost c over D to
+    # ceil(c * num / den), num / den = n / (eps' (1+eps')^c' C D), so each
+    # step divides num / den by 1+eps' = (a+b)/b.  The factor falls as the
+    # exponent rises: while even the cheapest positive edge scales above
+    # the budget every edge clamps, and once the dearest scales to at most
+    # 1 every later vector is the same (1 per positive cost), so only the
+    # exponents between are built.
+    a, b = eps_i.numerator, eps_i.denominator
+    costs = graph.int_costs
+    positive = [c for c in costs if c > 0]
     least, greatest = min(positive, default=0), max(positive, default=0)
-    clamped = tuple(budget + 1 if e.cost > 0 else 0 for e in graph.edges)
+    clamped = tuple(budget + 1 if c > 0 else 0 for c in costs)
     vectors: dict[tuple[int, ...], None] = {}
-    factor = n / (eps_i * base ** lo * C)
+    factor = n / (eps_i * (1 + eps_i) ** lo * bounds.C * graph.cost_denominator)
+    num, den = factor.numerator, factor.denominator
     for _ in range(lo, hi + 1):
-        if least * factor > budget:
+        if least * num > budget * den:
             vec = clamped
         else:
-            vec = tuple(min(_ceil_frac(e.cost * factor), budget + 1) for e in graph.edges)
+            vec = tuple(min(-(-c * num // den), budget + 1) for c in costs)
         vectors.setdefault(vec, None)
-        if greatest * factor <= 1:
+        if greatest * num <= den:
             break
-        factor /= base
+        num *= b
+        den *= a + b
     arc_lists: dict[tuple[int, ...], tuple] = {}
     tables: dict[tuple[tuple[int, ...], int], _MinDistTable] = {}
 
@@ -382,7 +375,7 @@ def approx_const(
     dists = length_distances(graph)
 
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple]:
-        if not _fits(dists, seq, instance.L):
+        if not _fits(dists, seq, instance.length_cap):
             return  # even the shortest segments cannot meet L jointly
         per_seg = []
         for a, b in zip(seq, seq[1:]):
@@ -393,16 +386,7 @@ def approx_const(
             per_seg.append([((pair, oid), edges) for oid, edges in enumerate(opts)])
         yield from itertools.product(*per_seg)
 
-    chain_lists = [
-        _enumerate_chains(graph, s, t, 2 * (p - 1), dists, guesses)
-        for s, t in instance.demands.pairs
-    ]
-    if any(not lst for lst in chain_lists):
-        return None
-    union = _search_best_union(instance, chain_lists)
-    if union is None:
-        return None
-    return _finish(instance, union)
+    return _solve_by_chains(instance, 2 * (p - 1), dists, guesses)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +400,8 @@ class HeightTable:
     (height, scaled cost) labels that star_dst.star_frontiers fills.
     d(v, R, j) is the least frontier height of scaled cost at most j; the
     dense table of the recurrence is exactly this map read off along the
-    budget axis.  Frontier heights are integers over denominator, the lcm
-    of the length and L denominators; query returns them as exact
-    Fractions.
+    budget axis.  Frontier heights are integers over denominator, the
+    graph's length denominator; query returns them as exact Fractions.
     """
 
     def __init__(
@@ -470,12 +453,11 @@ def build_height_table(
     n = graph.vertex_count
     _, terminals = star_terminals(instance)
     scaled = ScaledCosts.compute(graph, eps, C)
-    cap = _ceil_frac(Fraction(n) ** 3 * (1 + eps) / eps)
-    # heights are ints over D, the lcm of the length and L denominators
-    D = math.lcm(instance.L.denominator, graph.length_denominator)
-    lengths = [x * (D // graph.length_denominator) for x in graph.int_lengths]
-    frontiers = star_frontiers(graph, terminals, lengths, scaled.values, int(instance.L * D), cap)
-    return HeightTable(terminals, frontiers, cap, D)
+    cap = -(-n ** 3 * (eps.numerator + eps.denominator) // eps.numerator)  # n^3 (1+eps)/eps
+    frontiers = star_frontiers(
+        graph, terminals, graph.int_lengths, scaled.values, instance.length_cap, cap
+    )
+    return HeightTable(terminals, frontiers, cap, graph.length_denominator)
 
 
 def approx_star(

@@ -2,9 +2,10 @@
 
 Everything here is exact: edge lengths, edge costs and the global distance
 bound L are `fractions.Fraction` values, so feasibility and optimality
-comparisons never go through floating point.  The searches compare each
-graph's cached integer view, its lengths and costs over graph-wide common
-denominators, and report Fractions.
+comparisons never go through floating point.  Every search, here and in
+the solvers, adds and compares only each graph's integer view (lengths and
+costs as ints over graph-wide common denominators) and the instance's
+``length_cap``, L on that view; Fractions appear only in what it returns.
 
 Design notes:
   - Graphs are undirected multigraphs.  Parallel edges are kept as-is; all
@@ -208,9 +209,13 @@ class DemandGraph:
 
 
 class SlsnInstance:
-    """A weighted graph together with a global distance bound and demands."""
+    """A weighted graph together with a global distance bound and demands.
 
-    __slots__ = ("graph", "L", "demands")
+    ``length_cap`` is floor(L * D), D the graph's ``length_denominator``:
+    an integer length d over D is within L exactly when d <= length_cap.
+    """
+
+    __slots__ = ("graph", "L", "demands", "length_cap")
 
     def __init__(self, graph: WeightedGraph, L: RationalLike, demands: DemandGraph):
         L = as_fraction(L)
@@ -222,6 +227,7 @@ class SlsnInstance:
         self.graph = graph
         self.L = L
         self.demands = demands
+        self.length_cap = L.numerator * graph.length_denominator // L.denominator
 
 
 @dataclass(frozen=True)
@@ -393,12 +399,11 @@ def feasibility_check(instance: SlsnInstance, edge_subset: Iterable[int]) -> Fea
     Demand i is satisfied iff the subgraph contains an s_i-t_i path of length
     at most L; each reported length is the exact shortest-path length in the
     subgraph (None when disconnected).  The search runs on the graph's
-    integer lengths over D, where d / D <= L iff d <= floor(L * D).
+    integer lengths and compares them with ``instance.length_cap``.
     """
     graph = instance.graph
     adj = adjacency(graph, edge_subset, graph.int_lengths)
-    D = graph.length_denominator
-    cap = instance.L.numerator * D // instance.L.denominator
+    D, cap = graph.length_denominator, instance.length_cap
     statuses = []
     for _, dst, dist, _ in _demand_searches(instance, adj):
         d = dist.get(dst)
@@ -408,20 +413,21 @@ def feasibility_check(instance: SlsnInstance, edge_subset: Iterable[int]) -> Fea
 
 
 def hop_bounded_path(
-    graph: WeightedGraph, u: int, v: int, hop_bound: int, weight: Sequence
+    graph: WeightedGraph, u: int, v: int, hop_bound: int, weight: Sequence[int]
 ) -> Optional[Path]:
     """Minimum-weight u-v path with at most hop_bound edges, or None.
 
-    Bellman-Ford over hop counts with nonnegative exact weights indexed by
-    edge.  Deterministic: edges are relaxed in index order and only strict
-    improvements are kept, so parent chains can never revisit a vertex.
-    The bound is clamped to n-1, the most edges a simple path can have.
+    Bellman-Ford over hop counts with nonnegative integer weights indexed
+    by edge (one of the graph's integer views).  Deterministic: edges are
+    relaxed in index order and only strict improvements are kept, so
+    parent chains can never revisit a vertex.  The bound is clamped to
+    n-1, the most edges a simple path can have.
     """
     n = graph.vertex_count
     hop_bound = min(hop_bound, max(n - 1, 0))
     # levels[h][w] = min weight over u-w walks with at most h edges
-    levels: list[list[Optional[Fraction]]] = [[None] * n]
-    levels[0][u] = Fraction(0)
+    levels: list[list[Optional[int]]] = [[None] * n]
+    levels[0][u] = 0
     parent: dict[tuple[int, int], tuple[int, int]] = {}  # (h, w) -> (prev, edge)
     for h in range(1, hop_bound + 1):
         prev = levels[-1]
@@ -468,7 +474,7 @@ def restricted_min_cost_path(
         raise ValueError("restricted_min_cost_path requires unit edge lengths")
     if hop_bound < 0:
         raise ValueError("hop_bound must be nonnegative")
-    return hop_bounded_path(graph, u, v, hop_bound, [e.cost for e in graph.edges])
+    return hop_bounded_path(graph, u, v, hop_bound, graph.int_costs)
 
 
 class CostMode(enum.Enum):
@@ -548,10 +554,9 @@ def canonical_path_assignment(
         raise ValueError("invalid edge index in edge_subset")
     b, lengths = len(ranked), graph.int_lengths
     weight = {idx: (lengths[idx] << b) + (1 << (b - 1 - rank)) for rank, idx in enumerate(ranked)}
-    cap = instance.L.numerator * graph.length_denominator // instance.L.denominator
     paths = []
     for src, dst, dist, parent in _demand_searches(instance, adjacency(graph, ranked, weight)):
-        if dst not in dist or dist[dst] >> b > cap:
+        if dst not in dist or dist[dst] >> b > instance.length_cap:
             raise ValueError("canonical_path_assignment requires a feasible edge subset")
         vertices = [dst]
         edge_seq = []

@@ -25,10 +25,14 @@ which the decomposition above guarantees.
 
 One search serves all three constant-demand solvers: _enumerate_chains
 walks the junction sequences and asks a per-solver guess function for the
-segment guesses of each; _search_best_union joins the chains.  Both exact
-variants guess budgets through _budget_guesses (solve_unit_cost first drops
+segment guesses of each; _search_best_union joins the chains, and
+_solve_by_chains runs both and builds the Solution.  Both exact variants
+guess budgets through _budget_guesses (solve_unit_cost first drops
 sequences whose shortest segment lengths already exceed L), and
-approx.approx_const guesses min-dist paths.
+approx.approx_const guesses min-dist paths.  The search adds and compares
+only the graph's integer view: chain and union costs are ints over the
+cost denominator, distance tables ints over the length denominator, and L
+is the instance's length_cap.
 
 Runtime is n^O(p^4) as for the plain guess loops; in practice the search is
 driven by cost-bound pruning (a partial union at or above the incumbent
@@ -40,7 +44,6 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
@@ -57,24 +60,25 @@ from .core import (
 )
 
 
-def _distance_table(graph: WeightedGraph, weight: list, zero) -> list[list]:
-    """Shortest distances from every source, one Dijkstra per source."""
+def _distance_table(graph: WeightedGraph, weight) -> list[list[Optional[int]]]:
+    """Shortest integer distances from every source, one Dijkstra per source."""
     adj = adjacency(graph, range(graph.edge_count), weight)
     table = []
     for source in range(graph.vertex_count):
-        dist, _ = dijkstra(adj, {source: zero})
+        dist, _ = dijkstra(adj, {source: 0})
         table.append([dist.get(v) for v in range(graph.vertex_count)])
     return table
 
 
 def hop_distances(graph: WeightedGraph) -> list[list[Optional[int]]]:
     """Hop counts, ``table[source][v]`` (None if unreachable)."""
-    return _distance_table(graph, [1] * graph.edge_count, 0)
+    return _distance_table(graph, [1] * graph.edge_count)
 
 
-def length_distances(graph: WeightedGraph) -> list[list[Optional[Fraction]]]:
-    """Exact shortest path lengths, ``table[source][v]`` (None if unreachable)."""
-    return _distance_table(graph, [e.length for e in graph.edges], Fraction(0))
+def length_distances(graph: WeightedGraph) -> list[list[Optional[int]]]:
+    """Shortest path lengths as ints over ``graph.length_denominator``,
+    ``table[source][v]`` (None if unreachable)."""
+    return _distance_table(graph, graph.int_lengths)
 
 
 def shortest_length_under_edge_budget(
@@ -87,7 +91,7 @@ def shortest_length_under_edge_budget(
     """
     if edge_budget < 0:
         raise ValueError("edge_budget must be nonnegative")
-    return hop_bounded_path(graph, u, v, edge_budget, [e.length for e in graph.edges])
+    return hop_bounded_path(graph, u, v, edge_budget, graph.int_lengths)
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ class _Chain:
     sequence: tuple[int, ...]  # s, intermediates..., t
     items: tuple[tuple[tuple[int, int], int], ...]  # ((u,v) sorted, guess)
     edges: frozenset[int]  # union of the segment paths
-    cost: Fraction
+    cost: int  # over graph.cost_denominator
     intermediates: frozenset[int]
 
 
@@ -122,6 +126,7 @@ def _enumerate_chains(
     guess becomes a chain.
     """
     pool = [w for w in range(graph.vertex_count) if w != s and w != t]
+    costs = graph.int_costs
     chains: list[_Chain] = []
 
     def build(seq: list[int], depth: int) -> None:
@@ -133,7 +138,7 @@ def _enumerate_chains(
                     sequence,
                     tuple(item for item, _ in guess),
                     edges,
-                    graph.total_cost(edges),
+                    sum(costs[idx] for idx in edges),
                     frozenset(seq[1:]),
                 )
             )
@@ -216,12 +221,11 @@ def _search_best_union(
     chain are skipped: a junction is by definition shared between two
     paths, so the optimal canonical guess never needs one.
     """
-    graph = instance.graph
     terminals = instance.demands.vertices()
-    edge_cost = [e.cost for e in graph.edges]
+    edge_cost = instance.graph.int_costs
     best: dict = {"cost": None, "edges": None}
 
-    def accept(cost: Fraction, union: frozenset[int], inters: list[frozenset[int]]) -> None:
+    def accept(cost: int, union: frozenset[int], inters: list[frozenset[int]]) -> None:
         counts = Counter(w for s_ in inters for w in s_)
         if any(n < 2 for w, n in counts.items() if w not in terminals):
             return  # junction used by one path only: never canonical
@@ -237,7 +241,7 @@ def _search_best_union(
         budgets: dict[tuple[int, int], int],
         inters: list[frozenset[int]],
         union: frozenset[int],
-        cost: Fraction,
+        cost: int,
     ) -> None:
         if best["cost"] is not None and cost >= best["cost"]:
             return
@@ -255,20 +259,38 @@ def _search_best_union(
             if conflict:
                 continue
             added = chain.edges - union
-            new_cost = cost + sum((edge_cost[e] for e in added), Fraction(0))
+            new_cost = cost + sum(edge_cost[e] for e in added)
             if best["cost"] is not None and new_cost >= best["cost"]:
                 continue
             new_budgets = dict(budgets)
             new_budgets.update(chain.items)
             rec(i + 1, new_budgets, inters + [chain.intermediates], union | added, new_cost)
 
-    rec(0, {}, [], frozenset(), Fraction(0))
+    rec(0, {}, [], frozenset(), 0)
     return best["edges"]
 
 
 def _finish(instance: SlsnInstance, union: frozenset[int]) -> Solution:
     paths = canonical_path_assignment(instance, union)
     return Solution.build(instance, union, paths)
+
+
+def _solve_by_chains(
+    instance: SlsnInstance,
+    max_intermediates: int,
+    hops: list[list],
+    guesses: Callable[[tuple[int, ...]], Iterator[tuple[_Guess, ...]]],
+) -> Optional[Solution]:
+    """The cheapest feasible union of per-demand chains, with its witness
+    paths; None when some demand has no chain or no union is feasible."""
+    chain_lists = [
+        _enumerate_chains(instance.graph, s, t, max_intermediates, hops, guesses)
+        for s, t in instance.demands.pairs
+    ]
+    if any(not lst for lst in chain_lists):
+        return None
+    union = _search_best_union(instance, chain_lists)
+    return None if union is None else _finish(instance, union)
 
 
 def _warn_large_p(p: int) -> None:
@@ -289,24 +311,14 @@ def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:
     if p < 1:
         raise ValueError("at least one demand required")
     _warn_large_p(p)
-    hop_budget = min(int(instance.L), max(graph.vertex_count - 1, 0))
+    hop_budget = min(instance.length_cap, max(graph.vertex_count - 1, 0))
     if hop_budget < 1:
         return None
     hops = hop_distances(graph)
     guesses = _budget_guesses(
         hops, hop_budget, lambda u, v, budget: restricted_min_cost_path(graph, u, v, budget)
     )
-    max_inter = min(2 * (p - 1), hop_budget - 1)
-    chain_lists = [
-        _enumerate_chains(graph, s, t, max_inter, hops, guesses)
-        for s, t in instance.demands.pairs
-    ]
-    if any(not lst for lst in chain_lists):
-        return None
-    union = _search_best_union(instance, chain_lists)
-    if union is None:
-        return None
-    return _finish(instance, union)
+    return _solve_by_chains(instance, min(2 * (p - 1), hop_budget - 1), hops, guesses)
 
 
 def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
@@ -322,7 +334,7 @@ def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
     _warn_large_p(p)
     # simple paths use at most n-1 edges, and with integer lengths of at
     # least 1 a path within L uses at most floor(L)
-    cost_budget = min(int(instance.L), max(graph.vertex_count - 1, 0))
+    cost_budget = min(instance.length_cap, max(graph.vertex_count - 1, 0))
     if cost_budget < 1:
         return None
     hops = hop_distances(graph)
@@ -336,19 +348,10 @@ def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple[_Guess, ...]]:
         # A sequence whose shortest segments cannot jointly meet L is
         # useless: even with unbounded edge budgets it is too long.
-        if _fits(lengths, seq, instance.L):
+        if _fits(lengths, seq, instance.length_cap):
             yield from budgets(seq)
 
-    max_inter = min(2 * (p - 1), cost_budget - 1)
-    chain_lists = [
-        _enumerate_chains(graph, s, t, max_inter, hops, guesses)
-        for s, t in instance.demands.pairs
-    ]
-    if any(not lst for lst in chain_lists):
-        if feasibility_check(instance, range(graph.edge_count)).feasible:
-            raise AssertionError("feasible instance but no admissible chains")
-        return None
-    union = _search_best_union(instance, chain_lists)
-    if union is None:
-        return None
-    return _finish(instance, union)
+    solution = _solve_by_chains(instance, min(2 * (p - 1), cost_budget - 1), hops, guesses)
+    if solution is None and feasibility_check(instance, range(graph.edge_count)).feasible:
+        raise AssertionError("feasible instance but no feasible union of chains")
+    return solution

@@ -73,13 +73,16 @@ def parse_instance(text: str) -> SlsnInstance:
 def _instance_from_json(data: dict) -> SlsnInstance:
     if data.get("version") != 1:
         raise ValueError("instance JSON must declare version 1")
-    edges = [
-        (e["u"], e["v"], as_fraction(e["len"]), as_fraction(e["cost"]))
-        for e in data["edges"]
-    ]
-    graph = WeightedGraph(data["n"], edges, data.get("labels"))
-    demands = DemandGraph((s, t) for s, t in data["demands"])
-    return SlsnInstance(graph, as_fraction(data["L"]), demands)
+    try:
+        edges = [
+            (e["u"], e["v"], as_fraction(e["len"]), as_fraction(e["cost"]))
+            for e in data["edges"]
+        ]
+        graph = WeightedGraph(data["n"], edges, data.get("labels"))
+        demands = DemandGraph((s, t) for s, t in data["demands"])
+        return SlsnInstance(graph, as_fraction(data["L"]), demands)
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed instance JSON: {exc}") from exc
 
 
 def dump_instance_text(instance: SlsnInstance) -> str:
@@ -129,15 +132,18 @@ def parse_mcc(text: str) -> "tuple[int, list[tuple[int, int]], dict[int, int], i
     lines = _content_lines(text)
     if not lines or lines[0].split() != ["mcc", "1"]:
         raise ValueError("missing 'mcc 1' version header")
-    n, m, k = (int(x) for x in lines[1].split())
-    edges = []
-    for i in range(m):
-        u, v = (int(x) for x in lines[2 + i].split())
-        edges.append((u, v))
-    coloring: dict[int, int] = {}
-    for i in range(n):
-        v, color = (int(x) for x in lines[2 + m + i].split())
-        coloring[v] = color
+    try:
+        n, m, k = (int(x) for x in lines[1].split())
+        edges = []
+        for i in range(m):
+            u, v = (int(x) for x in lines[2 + i].split())
+            edges.append((u, v))
+        coloring: dict[int, int] = {}
+        for i in range(n):
+            v, color = (int(x) for x in lines[2 + m + i].split())
+            coloring[v] = color
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"malformed MCC file: {exc}") from exc
     return n, edges, coloring, k
 
 
@@ -169,6 +175,8 @@ def solution_from_json(instance: SlsnInstance, data: dict) -> Solution:
     graph = instance.graph
     by_pair: dict[tuple[int, int], list[int]] = {}
     for idx in subset:
+        if not 0 <= idx < graph.edge_count:
+            raise ValueError(f"invalid edge index {idx}")
         e = graph.edges[idx]
         by_pair.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(idx)
     paths = []

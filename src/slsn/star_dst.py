@@ -85,7 +85,7 @@ def build_layered_dst(
     """The (L+1)-layer reduction for unit-length star instances.
 
     L is clamped to n-1 (a longer unit-length path would repeat a vertex),
-    and non-integral L is truncated since all path lengths are integers.
+    and L is read as the instance's length_cap, floor(L) for unit lengths.
     """
     graph = instance.graph
     if not graph.has_unit_lengths():
@@ -94,7 +94,7 @@ def build_layered_dst(
         if root not in (s, t):
             raise ValueError("demands do not form a star rooted at the given root")
     n = graph.vertex_count
-    L = min(int(instance.L), max(n - 1, 0))
+    L = min(instance.length_cap, max(n - 1, 0))
     layered = LayeredMap(n, L + 1)
     arcs: list[tuple[int, int, Fraction]] = []
     zero = Fraction(0)
@@ -294,13 +294,13 @@ def solve_slst(instance: SlsnInstance) -> Optional[Solution]:
     height at most L, with its witness paths.
 
     L is clamped to n-1 (a longer unit-length path would repeat a vertex),
-    and non-integral L is truncated since all path lengths are integers.
+    and L is read as the instance's length_cap, floor(L) for unit lengths.
     """
     root, terminals = star_terminals(instance)
     graph = instance.graph
     if not graph.has_unit_lengths():
         raise ValueError("the exact star solver requires unit edge lengths")
-    L = min(int(instance.L), max(graph.vertex_count - 1, 0))
+    L = min(instance.length_cap, max(graph.vertex_count - 1, 0))
     frontiers = star_frontiers(graph, terminals, [1] * graph.edge_count, graph.int_costs, L)
     frontier = frontiers[(root, (1 << len(terminals)) - 1)]
     if not frontier:

@@ -49,3 +49,11 @@ def make_instance(graph, L, pairs):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def scaled_instance(inst, cost_factor=1, length_factor=1):
+    """inst with every cost times cost_factor, and every length and L times
+    length_factor."""
+    g = inst.graph
+    edges = [(e.u, e.v, e.length * length_factor, e.cost * cost_factor) for e in g.edges]
+    return SlsnInstance(WeightedGraph(g.vertex_count, edges), inst.L * length_factor, inst.demands)

@@ -27,7 +27,7 @@ from slsn.generators import random_instance
 from slsn.oracle import brute_force_restricted_path, brute_force_slsn
 from slsn.star_dst import solve_slst, star_frontiers, star_terminals
 
-from conftest import make_instance
+from conftest import make_instance, scaled_instance
 
 
 def certified_best_length(graph, s, t, eps, C):
@@ -385,6 +385,15 @@ class TestApproxConst:
                 assert exact.total_cost <= got.total_cost <= (1 + eps) * exact.total_cost
         assert solved >= 10
 
+    def test_metamorphic_scaling(self):
+        rng = random.Random(3003)
+        for _ in range(40):
+            inst = random_instance(
+                rng, n_max=6, m_max=9, p_choices=(1, 2), cost_range=(0, 9),
+                length_kind="rational", L_range=(3, 8),
+            )
+            assert_scaling_metamorphic(approx_const, inst)
+
 
 class TestApproxStar:
     def test_star_of_direct_edges(self):
@@ -433,6 +442,29 @@ class TestApproxStar:
                 solved += 1
                 assert exact.total_cost <= got.total_cost <= (1 + eps) * exact.total_cost
         assert solved >= 8
+
+    def test_metamorphic_scaling(self):
+        rng = random.Random(3004)
+        for _ in range(60):
+            inst = random_instance(
+                rng, star=True, cost_range=(0, 9), length_kind="rational", L_range=(3, 8)
+            )
+            assert_scaling_metamorphic(approx_star, inst)
+
+
+def assert_scaling_metamorphic(solver, inst, eps=Fraction(1, 4)):
+    """Costs times c give the same edge set at c times the cost; lengths
+    and L times c give the same edge set."""
+    sol = solver(inst, eps)
+    for c in (Fraction(3), Fraction(5, 2), Fraction(1, 7)):
+        for other, factor in (
+            (solver(scaled_instance(inst, c), eps), c),
+            (solver(scaled_instance(inst, 1, c), eps), 1),
+        ):
+            assert (sol is None) == (other is None)
+            if sol is not None:
+                assert other.edge_subset == sol.edge_subset
+                assert other.total_cost == factor * sol.total_cost
 
 
 def _connected_unit_graph(rng, n, m):

@@ -246,3 +246,35 @@ def test_edgeless_approx_solve_is_infeasible(capsys, tmp_path, flag):
     assert code == 3
     report = json.loads(out)
     assert report["feasible"] is False and "opt_bracket" not in report
+
+
+@pytest.mark.parametrize("index", [3, -1], ids=["m", "minus-one"])
+def test_verify_rejects_out_of_range_edge_index(capsys, tmp_path, tri_file, index):
+    # TRI has m = 3 edges; edge 2 joins 0 and 2 at cost 3, which -1 would wrap to
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"cost": "3", "edges": [index], "paths": [[0, 2]]}))
+    code, out = run(capsys, ["verify", tri_file, "--solution", str(sol)])
+    assert code == 3
+    report = json.loads(out)
+    assert report["feasible"] is False and "invalid edge index" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("only.mcc", "mcc 1\n",
+         ["gadget", "--case", "h0star", "--k", "2", "-o", "{tmp}/g.slsn", "--mcc"]),
+        ("short.mcc", "mcc 1\n2 1 2\n0 1\n0 1\n", ["oracle", "mcc"]),
+        ("n.json", '{"version": 1, "n": "3", "L": "2", "edges": [], "demands": [[0, 2]]}',
+         ["solve"]),
+        ("u.json", '{"version": 1, "n": 3, "L": "2", "edges": [{"u": "0", "v": 1, '
+         '"len": "1", "cost": "1"}], "demands": [[0, 2]]}', ["classify"]),
+    ],
+    ids=["mcc-header-only", "mcc-short-coloring", "json-n-string", "json-u-string"],
+)
+def test_malformed_input_is_an_error_line(capsys, tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    code = dispatch([*(a.format(tmp=tmp_path) for a in argv), str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

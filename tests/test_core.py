@@ -19,6 +19,7 @@ from slsn.core import (
     canonical_path_assignment,
     expand_to_unit,
     feasibility_check,
+    hop_bounded_path,
     restricted_min_cost_path,
 )
 from slsn.oracle import brute_force_restricted_path
@@ -50,6 +51,44 @@ def fraction_feasibility_check(instance, edge_subset):
         length = dist.get(dst)
         statuses.append(DemandStatus(length is not None and length <= instance.L, length))
     return FeasibilityReport(tuple(statuses))
+
+
+def fraction_hop_bounded_path(graph, u, v, hop_bound, weight):
+    """hop_bounded_path with Fraction weights throughout, its reference."""
+    n = graph.vertex_count
+    hop_bound = min(hop_bound, max(n - 1, 0))
+    levels = [[None] * n]
+    levels[0][u] = Fraction(0)
+    parent = {}
+    for h in range(1, hop_bound + 1):
+        prev = levels[-1]
+        cur = list(prev)
+        for idx, e in enumerate(graph.edges):
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if prev[a] is not None:
+                    nw = prev[a] + weight[idx]
+                    if cur[b] is None or nw < cur[b]:
+                        cur[b] = nw
+                        parent[(h, b)] = (a, idx)
+        if cur == prev:
+            break
+        levels.append(cur)
+    if levels[-1][v] is None:
+        return None
+    h = len(levels) - 1
+    w = v
+    vertices = [v]
+    edge_seq = []
+    while h > 0:
+        if (h, w) in parent and levels[h][w] != levels[h - 1][w]:
+            a, idx = parent[(h, w)]
+            edge_seq.append(idx)
+            vertices.append(a)
+            w = a
+        h -= 1
+    vertices.reverse()
+    edge_seq.reverse()
+    return Path.from_edge_sequence(graph, vertices, edge_seq)
 
 
 def tie_heavy_instance(rng, scale=1):
@@ -283,6 +322,26 @@ class TestRestrictedMinCostPath:
                 mine = restricted_min_cost_path(g, s, t, h)
                 ref = brute_force_restricted_path(g, s, t, Fraction(h))
                 assert (mine.cost if mine else None) == (ref.cost if ref else None)
+
+
+class TestHopBoundedPath:
+    def test_matches_fraction_reference(self):
+        # integer weights over the graph's denominators pick the same path
+        # as Fraction weights, ties and zero costs included, at every bound
+        rng = random.Random(911)
+        for _ in range(60):
+            g = tie_heavy_instance(rng)[0].graph
+            n = g.vertex_count
+            for ints, fracs in (
+                (g.int_costs, [e.cost for e in g.edges]),
+                (g.int_lengths, [e.length for e in g.edges]),
+            ):
+                for u in range(n):
+                    for v in range(n):
+                        for h in range(n + 1):
+                            assert hop_bounded_path(g, u, v, h, ints) == fraction_hop_bounded_path(
+                                g, u, v, h, fracs
+                            )
 
 
 class TestExpandToUnit:

@@ -15,7 +15,7 @@ from slsn.generators import random_instance, random_unit_cost_instance
 from slsn.oracle import brute_force_slsn
 from slsn.star_dst import solve_slst
 
-from conftest import make_instance
+from conftest import make_instance, scaled_instance
 
 
 class TestSolveUnitLength:
@@ -89,6 +89,18 @@ class TestSolveUnitLength:
         assert (base is None) == (other is None)
         if base is not None:
             assert base.total_cost == other.total_cost
+
+    def test_metamorphic_cost_scaling(self):
+        # costs times c: the same edge set at c times the cost
+        rng = random.Random(1003)
+        for c in (Fraction(3), Fraction(5, 2), Fraction(1, 7)):
+            for _ in range(30):
+                inst = random_instance(rng, cost_range=(0, 9))
+                sol, sol_c = solve_unit_length(inst), solve_unit_length(scaled_instance(inst, c))
+                assert (sol is None) == (sol_c is None)
+                if sol is not None:
+                    assert sol_c.edge_subset == sol.edge_subset
+                    assert sol_c.total_cost == c * sol.total_cost
 
     def test_shared_segment_count_bound(self):
         # optimal canonical paths share at most one maximal segment per pair
@@ -171,6 +183,17 @@ class TestSolveUnitCost:
             if mine is not None:
                 assert mine.total_cost == ref.total_cost
                 assert feasibility_check(inst, mine.edge_subset).feasible
+
+    def test_metamorphic_length_scaling(self):
+        # lengths and L times c: the optimum cost is unchanged
+        rng = random.Random(2003)
+        for c in (2, 3):
+            for _ in range(30):
+                inst = random_unit_cost_instance(rng)
+                sol, sol_c = solve_unit_cost(inst), solve_unit_cost(scaled_instance(inst, 1, c))
+                assert (sol is None) == (sol_c is None)
+                if sol is not None:
+                    assert sol_c.total_cost == sol.total_cost
 
 
 class TestCrossSolver:
