@@ -72,11 +72,9 @@ def opt_low(instance: SlsnInstance) -> Optional[CostBounds]:
 
     Edges are scanned by increasing cost; the first threshold whose
     subgraph passes the feasibility check is returned.  None when even the
-    full graph is infeasible.
+    full graph is infeasible, or has no edges.
     """
     graph = instance.graph
-    if graph.edge_count == 0:
-        raise ValueError("opt_low requires at least one edge")
     costs = graph.int_costs
     for c in sorted(set(costs)):
         subset = [i for i, ci in enumerate(costs) if ci <= c]
@@ -307,8 +305,6 @@ def approx_const(
     if p < 1:
         raise ValueError("at least one demand required")
     graph = instance.graph
-    if graph.edge_count == 0:
-        return None
     if bounds is _RUN_OPT_LOW:
         bounds = opt_low(instance)
     if bounds is None:
@@ -474,8 +470,6 @@ def approx_star(
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     root, _ = star_terminals(instance)
-    if instance.graph.edge_count == 0:
-        return None
     if bounds is _RUN_OPT_LOW:
         bounds = opt_low(instance)
     if bounds is None:

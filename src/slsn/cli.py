@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 parse/IO error, 2 hard-demand refusal,
 notes (timings, hints) go to stderr.  Output bytes are deterministic for
 fixed inputs and seeds; wall time is included in the JSON report only
 when --timing is passed.
+
+Each choice is named once: ``_SOLVERS`` makes the solve flags,
+``_GADGET_CASES`` maps ``--case`` to its builder, and each subparser's
+``run`` default is its handler.  Solvers and builders are looked up on their
+modules per call, so a function swapped on its module after import runs.
 """
 
 from __future__ import annotations
@@ -101,26 +106,20 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+# the solver flags of `slsn solve`, each also the report's solver name
+_SOLVERS = ("exact-const", "unit-cost", "star", "approx-const", "approx-star")
+
+
 def _pick_solver(instance: SlsnInstance, args) -> tuple[str, Optional[DemandClass]]:
     """Solver name per flags or classification; second item is a hard verdict to refuse.
 
     A refused instance comes back as ("", verdict); otherwise the verdict is None.
     """
-    forced = [
-        name
-        for name, on in (
-            ("exact-const", args.exact_const),
-            ("unit-cost", args.unit_cost),
-            ("star", args.star),
-            ("approx-const", args.approx_const),
-            ("approx-star", args.approx_star),
-        )
-        if on
-    ]
+    forced = set(args.forced or [])  # a repeated flag counts once
     if len(forced) > 1:
         raise ValueError("choose at most one solver flag")
     if forced:
-        return forced[0], None
+        return forced.pop(), None
     verdict = classify(instance.demands, args.k)
     unit_len = instance.graph.has_unit_lengths()
     if verdict.kind is DemandClassKind.STAR:
@@ -158,16 +157,16 @@ def _cmd_solve(args) -> int:
     eps = as_fraction(args.eps) if args.eps else Fraction(1, 4)
     t0 = time.monotonic()
     ratio = extra = None
-    if solver == "exact-const":
-        solution = exact_const.solve_unit_length(instance)
-    elif solver == "unit-cost":
-        solution = exact_const.solve_unit_cost(instance)
-    elif solver == "star":
-        solution = star_dst.solve_slst(instance)
+    exact = {
+        "exact-const": exact_const.solve_unit_length,
+        "unit-cost": exact_const.solve_unit_cost,
+        "star": star_dst.solve_slst,
+    }.get(solver)
+    if exact is not None:
+        solution = exact(instance)
     else:
-        # one opt_low serves the solver and the report's opt_bracket; an
-        # edgeless graph meets no demand
-        bounds = approx.opt_low(instance) if instance.graph.edge_count else None
+        # one opt_low serves the solver and the report's opt_bracket
+        bounds = approx.opt_low(instance)
         solve = approx.approx_const if solver == "approx-const" else approx.approx_star
         solution = solve(instance, eps, bounds=bounds)
         ratio = format_rational(1 + eps)
@@ -220,31 +219,28 @@ def _load_demand_graph(path: str) -> DemandGraph:
     return DemandGraph(pairs)
 
 
+# --case -> (name of its gadgets builder, whether it takes a --demand-graph)
+_GADGET_CASES = {
+    "h0star": ("build_case1", False),
+    "h1star": ("build_case2", False),
+    "h2star": ("build_case3", False),
+    "matching": ("build_case4", False),
+    "bipartite": ("build_case5", True),
+    "general": ("build_general", True),
+}
+
+
 def _cmd_gadget(args) -> int:
     with open(args.mcc, "r", encoding="utf-8") as fh:
         n, edges, coloring, k = parse_mcc(fh.read())
     if args.k is not None and args.k != k:
         raise ValueError(f"--k {args.k} disagrees with MCC file k={k}")
     mcc = gadgets.MccInstance.build(n, edges, k, coloring)
-    case = args.case
-    if case == "h0star":
-        bundle = gadgets.build_case1(mcc)
-    elif case == "h1star":
-        bundle = gadgets.build_case2(mcc)
-    elif case == "h2star":
-        bundle = gadgets.build_case3(mcc)
-    elif case == "matching":
-        bundle = gadgets.build_case4(mcc)
-    elif case == "bipartite":
-        if not args.demand_graph:
-            raise ValueError("--case bipartite needs --demand-graph")
-        H = _load_demand_graph(args.demand_graph)
-        bundle = gadgets.build_case5(mcc, H)
-    else:
-        if not args.demand_graph:
-            raise ValueError("--case general needs --demand-graph")
-        H = _load_demand_graph(args.demand_graph)
-        bundle = gadgets.build_general(mcc, H)
+    builder, needs_demand_graph = _GADGET_CASES[args.case]
+    if needs_demand_graph and not args.demand_graph:
+        raise ValueError(f"--case {args.case} needs --demand-graph")
+    extra = [_load_demand_graph(args.demand_graph)] if needs_demand_graph else []
+    bundle = getattr(gadgets, builder)(mcc, *extra)
     if args.poly_cost:
         bundle = gadgets.apply_poly_cost(bundle, as_fraction(args.eps or "1"))
     text = dump_instance_json(bundle.instance) if args.json else dump_instance_text(
@@ -295,10 +291,11 @@ def _cmd_verify(args) -> int:
             for d in report.per_demand
         ],
     }
-    for path in solution.witness_paths:
-        if path.length > instance.L:
-            out["feasible"] = False
-            out["error"] = "witness path exceeds the length bound"
+    try:
+        solution.validate(instance)
+    except ValueError as exc:
+        out["feasible"] = False
+        out["error"] = str(exc)
     _emit(out)
     return EXIT_OK if out["feasible"] else EXIT_INFEASIBLE
 
@@ -345,15 +342,15 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-# bench suite -> (instance generator, solver, solver name)
+# bench suite -> (instance generator, solver, solver name), in run order
 _BENCH_SUITES = {
     "exact": (random_instance, exact_const.solve_unit_length, "exact-const"),
+    "unit-cost": (random_unit_cost_instance, exact_const.solve_unit_cost, "unit-cost"),
     "star": (
         lambda rng: random_instance(rng, star=True),
         star_dst.solve_slst,
         "star-dst",
     ),
-    "unit-cost": (random_unit_cost_instance, exact_const.solve_unit_cost, "unit-cost"),
     "approx": (
         lambda rng: random_instance(rng, length_kind="rational", L_range=(2, 8)),
         lambda inst: approx.approx_const(inst, Fraction(1, 4)),
@@ -393,20 +390,8 @@ def _cmd_bench(args) -> int:
     if args.seed is None:
         print("bench refuses to run without --seed (reproducibility)", file=sys.stderr)
         return EXIT_ERROR
-    suites = [args.suite] if args.suite else ["exact", "unit-cost", "star", "approx"]
-    rows: list[dict] = []
-    if args.jobs > 1 and len(suites) > 1:
-        from multiprocessing import Pool
-
-        with Pool(args.jobs) as pool:
-            parts = pool.starmap(
-                _bench_rows, [(s, args.trials, args.seed) for s in suites]
-            )
-        for part in parts:
-            rows.extend(part)
-    else:
-        for s in suites:
-            rows.extend(_bench_rows(s, args.trials, args.seed))
+    suites = [args.suite] if args.suite else list(_BENCH_SUITES)
+    rows = [row for s in suites for row in _bench_rows(s, args.trials, args.seed)]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -426,17 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("classify", help="place a demand graph in the dichotomy")
+    c.set_defaults(run=_cmd_classify)
     c.add_argument("instance")
     c.add_argument("--k", type=int, default=2)
     c.add_argument("--json", action="store_true")
 
     s = sub.add_parser("solve", help="solve an instance, auto-selected or forced solver")
+    s.set_defaults(run=_cmd_solve)
     s.add_argument("instance")
-    s.add_argument("--exact-const", action="store_true")
-    s.add_argument("--unit-cost", action="store_true")
-    s.add_argument("--star", action="store_true")
-    s.add_argument("--approx-const", action="store_true")
-    s.add_argument("--approx-star", action="store_true")
+    for name in _SOLVERS:
+        s.add_argument(f"--{name}", dest="forced", action="append_const", const=name)
     s.add_argument("--eps", help="rational accuracy for approximation solvers")
     s.add_argument("--approx-anyway", action="store_true")
     s.add_argument("--k", type=int, default=2)
@@ -444,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--table", action="store_true", help="human-readable table instead of JSON")
 
     g = sub.add_parser("gadget", help="generate a hardness gadget instance")
-    g.add_argument("--case", required=True,
-                   choices=["h0star", "h1star", "h2star", "matching", "bipartite", "general"])
+    g.set_defaults(run=_cmd_gadget)
+    g.add_argument("--case", required=True, choices=_GADGET_CASES)
     g.add_argument("--k", type=int)
     g.add_argument("--mcc", required=True)
     g.add_argument("--poly-cost", action="store_true")
@@ -457,10 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--witness-out")
 
     v = sub.add_parser("verify", help="check a solution file against an instance")
+    v.set_defaults(run=_cmd_verify)
     v.add_argument("instance")
     v.add_argument("--solution", required=True)
 
     o = sub.add_parser("oracle", help="exhaustive reference solvers")
+    o.set_defaults(run=_cmd_oracle)
     o.add_argument("what", choices=["slsn", "path", "mcc"])
     o.add_argument("instance")
     o.add_argument("--source", type=int, default=0)
@@ -470,11 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--max-paths", type=int, default=500_000)
 
     b = sub.add_parser("bench", help="seeded random suites, CSV output")
+    b.set_defaults(run=_cmd_bench)
     b.add_argument("--seed", type=int, required=False)
     b.add_argument("--trials", type=int, default=20)
-    b.add_argument("--suite", choices=["exact", "unit-cost", "star", "approx"])
+    b.add_argument("--suite", choices=_BENCH_SUITES)
     b.add_argument("--out")
-    b.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -482,17 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "classify":
-            return _cmd_classify(args)
-        if args.cmd == "solve":
-            return _cmd_solve(args)
-        if args.cmd == "gadget":
-            return _cmd_gadget(args)
-        if args.cmd == "verify":
-            return _cmd_verify(args)
-        if args.cmd == "oracle":
-            return _cmd_oracle(args)
-        return _cmd_bench(args)
+        return args.run(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

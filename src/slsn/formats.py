@@ -168,8 +168,10 @@ def solution_from_json(instance: SlsnInstance, data: dict) -> Solution:
     """Rebuild a Solution from its JSON form against a known instance.
 
     Witness edge indices are recovered by matching consecutive vertices to
-    the cheapest edge of the subset joining them (exact for the emitted
-    solutions, which never rely on a costlier parallel edge).
+    the shortest edge of the subset joining them (lowest index on ties).
+    The solution's cost is that of its edge subset whichever parallel edge
+    a path names, so the shortest one gives each path its least length: a
+    path that fits L on some choice of parallel edges fits it on this one.
     """
     subset = frozenset(int(i) for i in data["edges"])
     graph = instance.graph
@@ -187,7 +189,7 @@ def solution_from_json(instance: SlsnInstance, data: dict) -> Solution:
             candidates = by_pair.get((min(a, b), max(a, b)))
             if not candidates:
                 raise ValueError(f"no subset edge joins {a} and {b}")
-            edge_seq.append(min(candidates, key=lambda i: (graph.edges[i].cost, i)))
+            edge_seq.append(min(candidates, key=lambda i: (graph.int_lengths[i], i)))
         paths.append(Path.from_edge_sequence(graph, seq, edge_seq))
     declared = as_fraction(data["cost"])
     actual = graph.total_cost(subset)

@@ -226,6 +226,10 @@ class TestOptLow:
         g = WeightedGraph(3, [(0, 1, 1, 1)])
         assert opt_low(make_instance(g, 1, [(0, 2)])) is None
 
+    def test_edgeless_none(self):
+        # no edge cost to try, so no threshold subgraph is feasible
+        assert opt_low(make_instance(WeightedGraph(3, []), 2, [(0, 2)])) is None
+
     def test_bracket_against_oracle(self):
         rng = random.Random(41)
         for _ in range(40):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from slsn import approx, exact_const, gadgets, star_dst
 from slsn.cli import dispatch
 
 TRI = """\
@@ -278,3 +279,80 @@ def test_malformed_input_is_an_error_line(capsys, tmp_path, name, text, argv):
     code = dispatch([*(a.format(tmp=tmp_path) for a in argv), str(path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solve_then_verify_with_unequal_parallel_edges(capsys, tmp_path):
+    # two zero-cost parallel edges of lengths 2 and 1 under L = 1: the
+    # solution keeps both, and only the shorter one fits
+    inst = tmp_path / "parallel.slsn"
+    inst.write_text("slsn 1\n2 2 1\n1\n0 1 2 0\n0 1 1 0\n0 1\n")
+    code, out = run(capsys, ["solve", str(inst), "--approx-const"])
+    report = json.loads(out)
+    assert code == 0 and report["solution"]["edges"] == [0, 1]
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(report["solution"]))
+    code2, out2 = run(capsys, ["verify", str(inst), "--solution", str(sol)])
+    assert code2 == 0
+    assert json.loads(out2) == {
+        "command": "verify", "feasible": True, "cost": "0", "demand_lengths": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "paths, error",
+    [([[1]], "witness path does not join demand (0,2)"),
+     ([], "one witness path required per demand")],
+    ids=["unjoined", "missing"],
+)
+def test_verify_checks_witness_paths(capsys, tmp_path, tri_file, paths, error):
+    # edge 2 alone meets demand (0,2) within L, but the paths do not show it
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"cost": "3", "edges": [2], "paths": paths}))
+    code, out = run(capsys, ["verify", tri_file, "--solution", str(sol)])
+    assert code == 3
+    assert json.loads(out) == {
+        "command": "verify", "feasible": False, "cost": "3", "demand_lengths": ["1"],
+        "error": error}
+
+
+def test_dispatch_resolves_functions_per_call(capsys, tmp_path, tri_file, mcc_file, monkeypatch):
+    # a function swapped on its module after import must be the one dispatch runs
+    reached = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            reached.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(exact_const, "solve_unit_length")
+    record(star_dst, "solve_slst")
+    record(approx, "approx_const")
+    record(gadgets, "build_case1")
+    pairs = tmp_path / "pairs.slsn"
+    pairs.write_text(PAIR_DEMANDS)
+    assert dispatch(["solve", str(pairs)]) == 0
+    assert dispatch(["solve", tri_file]) == 0
+    assert dispatch(["solve", tri_file, "--approx-const"]) == 0
+    argv = ["gadget", "--case", "h0star", "--mcc", mcc_file, "-o", str(tmp_path / "g.slsn")]
+    assert dispatch(argv) == 0
+    assert reached == ["solve_unit_length", "solve_slst", "approx_const", "build_case1"]
+
+
+def test_two_solver_flags_are_an_error_line(capsys, tri_file):
+    code = dispatch(["solve", tri_file, "--star", "--exact-const"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: choose at most one solver flag\n"
+
+
+def test_repeated_solver_flag_counts_once(capsys, tri_file):
+    code, out = run(capsys, ["solve", tri_file, "--star", "--star"])
+    assert code == 0 and json.loads(out)["solver"] == "star"
+
+
+def test_missing_subcommand_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch([])
+    assert exc.value.code == 2

@@ -201,7 +201,7 @@ class TestCrossSolver:
 
     On unit lengths and unit costs both exact solvers apply: one guesses
     hop budgets, the other edge budgets, through the same chain search.
-    Star demands add the layered-DST solver as a third opinion.
+    Star demands add the star solver as a third opinion.
     """
 
     def test_unit_length_unit_cost_and_star_agree(self):

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from slsn.approx import approx_const, approx_star
 from slsn.core import DemandGraph, SlsnInstance, WeightedGraph
 from slsn.formats import (
     dump_instance_json,
@@ -95,3 +97,39 @@ def test_solution_rejects_broken_path():
     data["paths"] = [[0, 2]]  # edge 0-2 is not in the chosen subset
     with pytest.raises(ValueError):
         solution_from_json(inst, data)
+
+
+def _parallel_edge_instance(rng, star):
+    """A small instance whose vertex pairs carry one or two edges of random
+    length; costs 0 and 1 make the longer of two parallel edges often the
+    cheaper, or as cheap."""
+    n = rng.randint(3, 4)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            for _ in range(rng.randint(1, 2)):
+                edges.append((u, v, Fraction(rng.randint(1, 6), 2), rng.randint(0, 1)))
+    if star:
+        pairs = [(0, t) for t in range(1, rng.randint(2, n))]
+    else:
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], rng.randint(1, 2))
+    return SlsnInstance(WeightedGraph(n, edges), Fraction(rng.randint(2, 8), 2), DemandGraph(pairs))
+
+
+def test_solver_output_survives_json_round_trip():
+    # a solver may keep two parallel edges and route over the shorter one
+    # whatever their costs; the rebuilt witness paths must still fit L
+    rng = random.Random(11)
+    for solver, star in ((approx_const, False), (approx_star, True)):
+        solved = 0
+        for _ in range(120):
+            inst = _parallel_edge_instance(rng, star)
+            sol = solver(inst, Fraction(1, 4))
+            if sol is None:
+                continue
+            solved += 1
+            back = solution_from_json(inst, solution_to_json(sol))
+            back.validate(inst)
+            assert back.edge_subset == sol.edge_subset
+            assert [p.length for p in back.witness_paths] == [p.length for p in sol.witness_paths]
+        assert solved >= 40
