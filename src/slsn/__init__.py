@@ -6,7 +6,6 @@ within a global length bound.
 """
 
 from .core import (
-    CostMode,
     DemandGraph,
     DemandStatus,
     Edge,
@@ -24,7 +23,6 @@ from .core import (
 )
 
 __all__ = [
-    "CostMode",
     "DemandGraph",
     "DemandStatus",
     "Edge",

@@ -52,7 +52,7 @@ from .core import (
     dijkstra,
     feasibility_check,
 )
-from .exact_const import _finish, _fits, _solve_by_chains, length_distances
+from .exact_const import _fits, _solve_by_chains, length_distances
 from .star_dst import Label, star_frontiers, star_terminals, tree_edges
 
 
@@ -310,7 +310,7 @@ def approx_const(
     if bounds is None:
         return None
     if bounds.C == 0:
-        return _finish(instance, _zero_cost_edges(graph))  # feasible at cost 0
+        return Solution.build(instance, _zero_cost_edges(graph))  # feasible at cost 0
     eps_i = eps / 4
     n = graph.vertex_count
     lo, hi = _exponent_range(n, eps_i)
@@ -489,7 +489,7 @@ def approx_star(
     # shortest-path tree inside the union and prune non-terminal leaves,
     # which keeps every root-terminal distance and can only reduce cost.
     tree = _shortest_path_tree(graph, union, root)
-    return _finish(instance, _prune_leaves(graph, tree, instance.demands.vertices()))
+    return Solution.build(instance, _prune_leaves(graph, tree, instance.demands.vertices()))
 
 
 def _shortest_path_tree(graph: WeightedGraph, union: set[int], root: int) -> set[int]:

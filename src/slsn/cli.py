@@ -27,7 +27,6 @@ from typing import Optional
 from . import approx, exact_const, gadgets, oracle, star_dst
 from .classifier import DemandClass, DemandClassKind, classify
 from .core import (
-    DemandGraph,
     SlsnInstance,
     Solution,
     as_fraction,
@@ -38,6 +37,7 @@ from .formats import (
     dump_instance_json,
     dump_instance_text,
     load_instance,
+    parse_demand_graph,
     parse_mcc,
     solution_from_json,
     solution_to_json,
@@ -207,16 +207,9 @@ def _print_table(report: dict, instance: SlsnInstance, solution) -> None:
             print(f"{f'{s}-{t}':<12} {length or 'inf':>8}")
 
 
-def _load_demand_graph(path: str) -> DemandGraph:
-    pairs = []
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            a, b = line.split()
-            pairs.append((int(a), int(b)))
-    return DemandGraph(pairs)
+        return fh.read()
 
 
 # --case -> (name of its gadgets builder, whether it takes a --demand-graph)
@@ -231,15 +224,14 @@ _GADGET_CASES = {
 
 
 def _cmd_gadget(args) -> int:
-    with open(args.mcc, "r", encoding="utf-8") as fh:
-        n, edges, coloring, k = parse_mcc(fh.read())
+    n, edges, coloring, k = parse_mcc(_read(args.mcc))
     if args.k is not None and args.k != k:
         raise ValueError(f"--k {args.k} disagrees with MCC file k={k}")
     mcc = gadgets.MccInstance.build(n, edges, k, coloring)
     builder, needs_demand_graph = _GADGET_CASES[args.case]
     if needs_demand_graph and not args.demand_graph:
         raise ValueError(f"--case {args.case} needs --demand-graph")
-    extra = [_load_demand_graph(args.demand_graph)] if needs_demand_graph else []
+    extra = [parse_demand_graph(_read(args.demand_graph))] if needs_demand_graph else []
     bundle = getattr(gadgets, builder)(mcc, *extra)
     if args.poly_cost:
         bundle = gadgets.apply_poly_cost(bundle, as_fraction(args.eps or "1"))
@@ -274,8 +266,7 @@ def _cmd_gadget(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(_read(args.solution))
     try:
         solution = solution_from_json(instance, data)
     except ValueError as exc:
@@ -328,8 +319,7 @@ def _cmd_oracle(args) -> int:
             }
         )
         return EXIT_OK
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        n, edges, coloring, k = parse_mcc(fh.read())
+    n, edges, coloring, k = parse_mcc(_read(args.instance))
     clique = oracle.brute_force_mcc(n, edges, k, coloring, budget)
     dense = oracle.densest_k_count(n, edges, k, coloring, budget)
     _emit(

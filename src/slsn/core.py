@@ -20,7 +20,6 @@ Design notes:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +85,7 @@ class WeightedGraph:
     denominators, and ``int_costs`` and ``cost_denominator`` likewise.
     """
 
-    __slots__ = ("vertex_count", "edges", "labels", "_adj", "int_lengths",
+    __slots__ = ("vertex_count", "edges", "labels", "int_lengths",
                  "length_denominator", "int_costs", "cost_denominator")
 
     def __init__(
@@ -118,21 +117,12 @@ class WeightedGraph:
             if len(labels) != vertex_count:
                 raise ValueError("labels length must equal vertex_count")
             self.labels = tuple(labels)
-        adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for idx, e in enumerate(self.edges):
-            adj[e.u].append(idx)
-            adj[e.v].append(idx)
-        self._adj = tuple(tuple(lst) for lst in adj)
         self.int_lengths, self.length_denominator = _scaled([e.length for e in self.edges])
         self.int_costs, self.cost_denominator = _scaled([e.cost for e in self.edges])
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def incident(self, v: int) -> tuple[int, ...]:
-        """Indices of edges incident to v."""
-        return self._adj[v]
 
     def total_cost(self, edge_subset: Iterable[int]) -> Fraction:
         """Sum of costs over a set of edge indices, each counted once."""
@@ -203,9 +193,6 @@ class DemandGraph:
             if not candidates:
                 return None
         return min(candidates)
-
-    def is_star(self) -> bool:
-        return self.star_root() is not None
 
 
 class SlsnInstance:
@@ -279,9 +266,15 @@ class Solution:
 
     @staticmethod
     def build(
-        instance: SlsnInstance, edge_subset: Iterable[int], witness_paths: Sequence[Path]
+        instance: SlsnInstance,
+        edge_subset: Iterable[int],
+        witness_paths: Optional[Sequence[Path]] = None,
     ) -> "Solution":
+        """The Solution on edge_subset; witness paths default to the
+        canonical ones, which requires a feasible subset."""
         subset = frozenset(edge_subset)
+        if witness_paths is None:
+            witness_paths = canonical_path_assignment(instance, subset)
         return Solution(subset, tuple(witness_paths), instance.graph.total_cost(subset))
 
     def validate(self, instance: SlsnInstance) -> None:
@@ -477,27 +470,20 @@ def restricted_min_cost_path(
     return hop_bounded_path(graph, u, v, hop_bound, graph.int_costs)
 
 
-class CostMode(enum.Enum):
-    """How hop expansion assigns cost to the unit edges replacing an edge."""
-
-    UNIT_PER_HOP = "unit-per-hop"
-    DIVIDE_EQUALLY = "divide-equally"
-
-
 @dataclass(frozen=True)
 class ExpansionResult:
     graph: WeightedGraph
     edge_map: tuple[tuple[int, ...], ...]  # original edge idx -> expanded edge indices
 
 
-def expand_to_unit(graph: WeightedGraph, cost_mode: CostMode) -> ExpansionResult:
+def expand_to_unit(graph: WeightedGraph) -> ExpansionResult:
     """Replace each integer-length edge by a unit-length hop path.
 
     An edge of length k becomes a path of k unit-length edges through k-1
     fresh interior vertices, numbered after the original vertices, whose
-    ids are kept.  UNIT_PER_HOP gives every hop cost 1;
-    DIVIDE_EQUALLY splits the original cost evenly across hops.  Interior
-    vertices are labeled "<u>~<v>#<hop>" from the endpoint labels.
+    ids are kept.  Each hop costs 1/k of the edge's cost, so every path
+    keeps its cost.  Interior vertices are labeled "<u>~<v>#<hop>" from the
+    endpoint labels.
     """
     if not graph.has_integer_lengths():
         raise ValueError("expand_to_unit requires positive integer edge lengths")
@@ -512,7 +498,7 @@ def expand_to_unit(graph: WeightedGraph, cost_mode: CostMode) -> ExpansionResult
 
     for e in graph.edges:
         k = int(e.length)
-        hop_cost = Fraction(1) if cost_mode is CostMode.UNIT_PER_HOP else e.cost / k
+        hop_cost = e.cost / k
         chain = [e.u]
         for h in range(1, k):
             labels.append(f"{_lab(e.u)}~{_lab(e.v)}#{h}")

@@ -26,13 +26,14 @@ which the decomposition above guarantees.
 One search serves all three constant-demand solvers: _enumerate_chains
 walks the junction sequences and asks a per-solver guess function for the
 segment guesses of each; _search_best_union joins the chains, and
-_solve_by_chains runs both and builds the Solution.  Both exact variants
-guess budgets through _budget_guesses (solve_unit_cost first drops
-sequences whose shortest segment lengths already exceed L), and
-approx.approx_const guesses min-dist paths.  The search adds and compares
-only the graph's integer view: chain and union costs are ints over the
-cost denominator, distance tables ints over the length denominator, and L
-is the instance's length_cap.
+_solve_by_chains runs both and returns Solution.build of the best union,
+with its canonical witness paths.  Both exact variants guess budgets
+through _budget_guesses (solve_unit_cost first drops sequences whose
+shortest segment lengths already exceed L), and approx.approx_const
+guesses min-dist paths.  The search adds and compares only the graph's
+integer view: chain and union costs are ints over the cost denominator,
+distance tables ints over the length denominator, and L is the
+instance's length_cap.
 
 Runtime is n^O(p^4) as for the plain guess loops; in practice the search is
 driven by cost-bound pruning (a partial union at or above the incumbent
@@ -52,7 +53,6 @@ from .core import (
     Solution,
     WeightedGraph,
     adjacency,
-    canonical_path_assignment,
     dijkstra,
     feasibility_check,
     hop_bounded_path,
@@ -270,11 +270,6 @@ def _search_best_union(
     return best["edges"]
 
 
-def _finish(instance: SlsnInstance, union: frozenset[int]) -> Solution:
-    paths = canonical_path_assignment(instance, union)
-    return Solution.build(instance, union, paths)
-
-
 def _solve_by_chains(
     instance: SlsnInstance,
     max_intermediates: int,
@@ -290,7 +285,7 @@ def _solve_by_chains(
     if any(not lst for lst in chain_lists):
         return None
     union = _search_best_union(instance, chain_lists)
-    return None if union is None else _finish(instance, union)
+    return None if union is None else Solution.build(instance, union)
 
 
 def _warn_large_p(p: int) -> None:

@@ -19,6 +19,10 @@ MCC file format (version header ``mcc 1``)::
     n m k
     u v        # m edge lines
     v color    # n coloring lines, colors 1..k
+
+A demand-graph file holds one ``s t`` pair per line, ``#`` comments allowed.
+Readers hand lengths, costs and L to ``WeightedGraph`` and ``SlsnInstance``
+as read, and those convert them to Fractions.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ from .core import (
     as_fraction,
     format_rational,
 )
+
+
+def _is_int_list(value) -> bool:
+    """A JSON list of integers; bools do not count as integers."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def _content_lines(text: str) -> list[str]:
@@ -56,31 +65,30 @@ def parse_instance(text: str) -> SlsnInstance:
         raise ValueError("missing 'slsn 1' version header")
     try:
         n, m, p = (int(x) for x in lines[1].split())
-        L = as_fraction(lines[2])
         edges = []
         for i in range(m):
             u, v, length, cost = lines[3 + i].split()
-            edges.append((int(u), int(v), as_fraction(length), as_fraction(cost)))
+            edges.append((int(u), int(v), length, cost))
         demands = []
         for i in range(p):
             s, t = lines[3 + m + i].split()
             demands.append((int(s), int(t)))
+        return SlsnInstance(WeightedGraph(n, edges), lines[2], DemandGraph(demands))
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed instance file: {exc}") from exc
-    return SlsnInstance(WeightedGraph(n, edges), L, DemandGraph(demands))
 
 
 def _instance_from_json(data: dict) -> SlsnInstance:
     if data.get("version") != 1:
         raise ValueError("instance JSON must declare version 1")
     try:
-        edges = [
-            (e["u"], e["v"], as_fraction(e["len"]), as_fraction(e["cost"]))
-            for e in data["edges"]
-        ]
+        edges = [(e["u"], e["v"], e["len"], e["cost"]) for e in data["edges"]]
+        demands = [tuple(pair) for pair in data["demands"]]
+        ids = [data["n"], *(x for e in edges for x in e[:2]), *(x for d in demands for x in d)]
+        if not _is_int_list(ids):
+            raise TypeError("n and vertex ids must be integers")
         graph = WeightedGraph(data["n"], edges, data.get("labels"))
-        demands = DemandGraph((s, t) for s, t in data["demands"])
-        return SlsnInstance(graph, as_fraction(data["L"]), demands)
+        return SlsnInstance(graph, data["L"], DemandGraph(demands))
     except TypeError as exc:  # a field of the wrong JSON type
         raise ValueError(f"malformed instance JSON: {exc}") from exc
 
@@ -147,6 +155,14 @@ def parse_mcc(text: str) -> "tuple[int, list[tuple[int, int]], dict[int, int], i
     return n, edges, coloring, k
 
 
+def parse_demand_graph(text: str) -> DemandGraph:
+    """Parse a demand-graph file: one ``s t`` pair per content line."""
+    try:
+        return DemandGraph((int(s), int(t)) for s, t in map(str.split, _content_lines(text)))
+    except ValueError as exc:
+        raise ValueError(f"malformed demand graph file: {exc}") from exc
+
+
 def dump_mcc(n: int, edges: list[tuple[int, int]], coloring: dict[int, int], k: int) -> str:
     lines = ["mcc 1", f"{n} {len(edges)} {k}"]
     for u, v in edges:
@@ -173,7 +189,12 @@ def solution_from_json(instance: SlsnInstance, data: dict) -> Solution:
     a path names, so the shortest one gives each path its least length: a
     path that fits L on some choice of parallel edges fits it on this one.
     """
-    subset = frozenset(int(i) for i in data["edges"])
+    seqs = data.get("paths") if isinstance(data, dict) else None
+    if not (isinstance(seqs, list) and all(map(_is_int_list, seqs))
+            and _is_int_list(data.get("edges")) and type(data.get("cost")) in (str, int)):
+        raise ValueError("malformed solution JSON: want an object with a str or int "
+                         "cost, an int list of edges and int lists as paths")
+    subset = frozenset(data["edges"])
     graph = instance.graph
     by_pair: dict[tuple[int, int], list[int]] = {}
     for idx in subset:
@@ -182,8 +203,7 @@ def solution_from_json(instance: SlsnInstance, data: dict) -> Solution:
         e = graph.edges[idx]
         by_pair.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(idx)
     paths = []
-    for seq in data["paths"]:
-        seq = [int(v) for v in seq]
+    for seq in seqs:
         edge_seq = []
         for a, b in zip(seq, seq[1:]):
             candidates = by_pair.get((min(a, b), max(a, b)))

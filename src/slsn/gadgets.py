@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .core import (
-    CostMode,
     DemandGraph,
     ExpansionResult,
     Path,
@@ -560,8 +559,7 @@ def _finalize(
         ],
         base.labels,
     )
-    mode = CostMode.UNIT_PER_HOP if flavor is CostFlavor.UNIT else CostMode.DIVIDE_EQUALLY
-    expansion = expand_to_unit(graph, mode)
+    expansion = expand_to_unit(graph)
     demand_graph = DemandGraph(base.demands)
     instance = SlsnInstance(expansion.graph, base.L, demand_graph)
     # expand_to_unit numbers the hops of base edge i right after those of i-1

@@ -23,7 +23,7 @@ from .core import (
     SlsnInstance,
     Solution,
     WeightedGraph,
-    canonical_path_assignment,
+    adjacency,
     feasibility_check,
 )
 
@@ -69,8 +69,7 @@ def brute_force_slsn(
             best_edges = subset
     if best_edges is None:
         return None
-    paths = canonical_path_assignment(instance, best_edges)
-    return Solution.build(instance, best_edges, paths)
+    return Solution.build(instance, best_edges)
 
 
 def brute_force_restricted_path(
@@ -87,6 +86,7 @@ def brute_force_restricted_path(
     """
     if u == v:
         return Path.trivial(u)
+    adj = adjacency(graph, range(graph.edge_count), graph.edges)
     expansions = 0
     best: Optional[tuple[Fraction, tuple[int, ...], tuple[int, ...]]] = None
 
@@ -103,9 +103,7 @@ def brute_force_restricted_path(
             if best is None or key < best:
                 best = key
             continue
-        for idx in graph.incident(vertex):
-            e = graph.edges[idx]
-            w = e.other(vertex)
+        for w, idx, e in adj[vertex]:
             if w in vseq:
                 continue
             nl = length + e.length

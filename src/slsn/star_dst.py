@@ -33,7 +33,6 @@ from .core import (
     SlsnInstance,
     Solution,
     WeightedGraph,
-    canonical_path_assignment,
     dijkstra,
 )
 
@@ -305,6 +304,4 @@ def solve_slst(instance: SlsnInstance) -> Optional[Solution]:
     frontier = frontiers[(root, (1 << len(terminals)) - 1)]
     if not frontier:
         return None
-    chosen = tree_edges(frontier[-1])
-    paths = canonical_path_assignment(instance, chosen)
-    return Solution.build(instance, chosen, paths)
+    return Solution.build(instance, tree_edges(frontier[-1]))

@@ -57,3 +57,14 @@ def scaled_instance(inst, cost_factor=1, length_factor=1):
     g = inst.graph
     edges = [(e.u, e.v, e.length * length_factor, e.cost * cost_factor) for e in g.edges]
     return SlsnInstance(WeightedGraph(g.vertex_count, edges), inst.L * length_factor, inst.demands)
+
+
+def with_edges(inst, extra=(), scale=1):
+    """inst with extra edges appended and every cost multiplied by scale."""
+    g = inst.graph
+    edges = [(e.u, e.v, e.length, e.cost * scale) for e in g.edges] + list(extra)
+    return SlsnInstance(WeightedGraph(g.vertex_count, edges), inst.L, inst.demands)
+
+
+def cost_of(solution):
+    return None if solution is None else solution.total_cost

@@ -21,10 +21,10 @@ from slsn.classifier import (
     verify_witness,
 )
 from slsn.core import (
-    CostMode,
     DemandGraph,
     SlsnInstance,
     WeightedGraph,
+    adjacency,
     canonical_path_assignment,
     expand_to_unit,
     feasibility_check,
@@ -173,6 +173,7 @@ def test_criterion_05_min_dist_guarantee():
 
 def _certified_best_length(graph, s, t, eps, C):
     cap = (1 - 2 * eps) * C
+    adj = adjacency(graph, range(graph.edge_count), graph.edges)
     best = None
     stack = [(s, Fraction(0), Fraction(0), (s,))]
     while stack:
@@ -181,9 +182,7 @@ def _certified_best_length(graph, s, t, eps, C):
             if co <= cap and (best is None or ln < best):
                 best = ln
             continue
-        for idx in graph.incident(v):
-            e = graph.edges[idx]
-            w = e.other(v)
+        for w, _, e in adj[v]:
             if w not in seq:
                 stack.append((w, ln + e.length, co + e.cost, seq + (w,)))
     return best
@@ -343,7 +342,7 @@ def test_criterion_11_structural_invariants():
             continue
         paths = canonical_path_assignment(inst, subset)
         assert _pairwise_consistent(paths)
-    # expand_to_unit preserves bounded min cost, both cost modes
+    # expand_to_unit preserves bounded min cost
     for _ in range(12):
         n = rng.randint(3, 5)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -352,7 +351,7 @@ def test_criterion_11_structural_invariants():
         g = WeightedGraph(
             n, [(u, v, rng.randint(1, 3), rng.randint(1, 6)) for u, v in pairs[:m]]
         )
-        res = expand_to_unit(g, CostMode.DIVIDE_EQUALLY)
+        res = expand_to_unit(g)
         for s in range(n):
             for t in range(s + 1, n):
                 for D in range(1, 8):

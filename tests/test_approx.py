@@ -20,6 +20,7 @@ from slsn.core import (
     Path,
     SlsnInstance,
     WeightedGraph,
+    adjacency,
     feasibility_check,
 )
 from slsn.exact_const import length_distances, solve_unit_length
@@ -27,12 +28,13 @@ from slsn.generators import random_instance
 from slsn.oracle import brute_force_restricted_path, brute_force_slsn
 from slsn.star_dst import solve_slst, star_frontiers, star_terminals
 
-from conftest import make_instance, scaled_instance
+from conftest import make_instance, scaled_instance, with_edges
 
 
 def certified_best_length(graph, s, t, eps, C):
     """Min length over simple paths of cost <= (1-2*eps)*C, else None."""
     cap = (1 - 2 * eps) * C
+    adj = adjacency(graph, range(graph.edge_count), graph.edges)
     best = None
     stack = [(s, Fraction(0), Fraction(0), (s,))]
     while stack:
@@ -41,9 +43,7 @@ def certified_best_length(graph, s, t, eps, C):
             if co <= cap and (best is None or ln < best):
                 best = ln
             continue
-        for idx in graph.incident(v):
-            e = graph.edges[idx]
-            w = e.other(v)
+        for w, _, e in adj[v]:
             if w not in seq:
                 stack.append((w, ln + e.length, co + e.cost, seq + (w,)))
     return best
@@ -398,6 +398,16 @@ class TestApproxConst:
             )
             assert_scaling_metamorphic(approx_const, inst)
 
+    def test_metamorphic_extra_edges(self):
+        rng = random.Random(3005)
+        solved = 0
+        for _ in range(20):
+            inst = random_instance(
+                rng, n_max=6, m_max=9, p_choices=(1, 2), length_kind="rational", L_range=(3, 8)
+            )
+            solved += assert_extra_edges_metamorphic(approx_const, inst, rng)
+        assert solved >= 15
+
 
 class TestApproxStar:
     def test_star_of_direct_edges(self):
@@ -455,6 +465,14 @@ class TestApproxStar:
             )
             assert_scaling_metamorphic(approx_star, inst)
 
+    def test_metamorphic_extra_edges(self):
+        rng = random.Random(3006)
+        solved = 0
+        for _ in range(30):
+            inst = random_instance(rng, star=True, length_kind="rational", L_range=(3, 8))
+            solved += assert_extra_edges_metamorphic(approx_star, inst, rng)
+        assert solved >= 12
+
 
 def assert_scaling_metamorphic(solver, inst, eps=Fraction(1, 4)):
     """Costs times c give the same edge set at c times the cost; lengths
@@ -469,6 +487,28 @@ def assert_scaling_metamorphic(solver, inst, eps=Fraction(1, 4)):
             if sol is not None:
                 assert other.edge_subset == sol.edge_subset
                 assert other.total_cost == factor * sol.total_cost
+
+
+def assert_extra_edges_metamorphic(solver, inst, rng, eps=Fraction(1, 4)):
+    """A parallel edge no shorter and no cheaper than an existing one, or an
+    edge of length L + 1/2, leaves OPT unchanged: the solver's answer on
+    either is feasible and costs between OPT and (1 + eps) OPT, with OPT
+    the oracle's optimum of inst.  Returns whether inst is feasible."""
+    ref = brute_force_slsn(inst)
+    g = inst.graph
+    e = g.edges[rng.randrange(g.edge_count)]
+    u, v = rng.sample(range(g.vertex_count), 2)
+    for extra in (
+        (e.u, e.v, e.length + Fraction(rng.randint(0, 2), 2), e.cost + rng.randint(0, 3)),
+        (u, v, inst.L + Fraction(1, 2), rng.randint(0, 3)),
+    ):
+        modified = with_edges(inst, [extra])
+        got = solver(modified, eps)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert feasibility_check(modified, got.edge_subset).feasible
+            assert ref.total_cost <= got.total_cost <= (1 + eps) * ref.total_cost
+    return ref is not None
 
 
 def _connected_unit_graph(rng, n, m):

@@ -314,6 +314,41 @@ def test_verify_checks_witness_paths(capsys, tmp_path, tri_file, paths, error):
         "error": error}
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"cost": "3", "edges": 5, "paths": []},
+        {"cost": "3", "edges": [2], "paths": 3},
+        [{"cost": "3", "edges": [2], "paths": [[0, 2]]}],
+        {"cost": 2.0, "edges": [0, 1], "paths": [[0, 1, 2]]},
+        {"cost": "3", "edges": [2.5], "paths": [[0, 2]]},
+        {"cost": "2", "edges": [0, True], "paths": [[0, 1, 2]]},
+    ],
+    ids=["edges-int", "paths-int", "top-level-list", "cost-float", "edge-float", "edge-bool"],
+)
+def test_verify_rejects_malformed_solution_json(capsys, tmp_path, tri_file, data):
+    # the last two would otherwise read as the feasible edges {2} and {0, 1}
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(data))
+    code, out = run(capsys, ["verify", tri_file, "--solution", str(sol)])
+    assert code == 3
+    report = json.loads(out)
+    assert report["feasible"] is False
+    assert report["error"].startswith("malformed solution JSON:")
+
+
+def test_gadget_reads_demand_graph_file(capsys, tmp_path, mcc_file):
+    dg = tmp_path / "h.txt"
+    dg.write_text("# K_{2,2}\n0 2\n0 3\n1 2\n1 3\n")
+    argv = ["gadget", "--case", "bipartite", "--k", "2", "--mcc", mcc_file,
+            "-o", str(tmp_path / "g.slsn"), "--demand-graph", str(dg)]
+    code, out = run(capsys, argv + ["--emit-witness", "0,1"])
+    assert code == 0 and json.loads(out)["witness_structure_ok"] is True
+    dg.write_text("0 2\n0\n")
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("error: malformed demand graph file:")
+
+
 def test_dispatch_resolves_functions_per_call(capsys, tmp_path, tri_file, mcc_file, monkeypatch):
     # a function swapped on its module after import must be the one dispatch runs
     reached = []

@@ -6,7 +6,6 @@ import pytest
 
 import slsn.core
 from slsn.core import (
-    CostMode,
     DemandGraph,
     DemandStatus,
     FeasibilityReport,
@@ -28,6 +27,7 @@ from conftest import make_instance
 
 
 def all_simple_paths(graph, s, t):
+    adj = adjacency(graph, range(graph.edge_count), graph.edges)
     out = []
     stack = [(s, Fraction(0), Fraction(0), (s,), ())]
     while stack:
@@ -35,9 +35,7 @@ def all_simple_paths(graph, s, t):
         if v == t:
             out.append((vs, es, ln, co))
             continue
-        for idx in graph.incident(v):
-            e = graph.edges[idx]
-            w = e.other(v)
+        for w, idx, e in adj[v]:
             if w not in vs:
                 stack.append((w, ln + e.length, co + e.cost, vs + (w,), es + (idx,)))
     return out
@@ -347,30 +345,30 @@ class TestHopBoundedPath:
 class TestExpandToUnit:
     def test_length_one_identity_shape(self):
         g = WeightedGraph(2, [(0, 1, 1, 1)])
-        res = expand_to_unit(g, CostMode.UNIT_PER_HOP)
+        res = expand_to_unit(g)
         assert res.graph.vertex_count == 2 and res.graph.edge_count == 1
         assert res.graph.edges[0].cost == 1
 
     def test_length_three_unit_per_hop(self):
         g = WeightedGraph(2, [(0, 1, 3, 3)])
-        res = expand_to_unit(g, CostMode.UNIT_PER_HOP)
+        res = expand_to_unit(g)
         assert res.graph.edge_count == 3
         assert res.graph.vertex_count == 4
         assert res.graph.total_cost(range(3)) == 3
 
     def test_divide_equally(self):
         g = WeightedGraph(2, [(0, 1, 4, 8)])
-        res = expand_to_unit(g, CostMode.DIVIDE_EQUALLY)
+        res = expand_to_unit(g)
         assert [e.cost for e in res.graph.edges] == [Fraction(2)] * 4
 
     def test_rejects_fractional_length(self):
         g = WeightedGraph(2, [(0, 1, Fraction(3, 2), 1)])
         with pytest.raises(ValueError):
-            expand_to_unit(g, CostMode.UNIT_PER_HOP)
+            expand_to_unit(g)
 
     def test_labels_propagate(self):
         g = WeightedGraph(2, [(0, 1, 2, 2)], labels=["a", "b"])
-        res = expand_to_unit(g, CostMode.UNIT_PER_HOP)
+        res = expand_to_unit(g)
         assert res.graph.labels[:2] == ("a", "b")
         assert res.graph.labels[2] == "a~b#1"
 
@@ -384,7 +382,7 @@ class TestExpandToUnit:
             g = WeightedGraph(
                 n, [(u, v, rng.randint(1, 3), rng.randint(1, 6)) for u, v in pairs[:m]]
             )
-            res = expand_to_unit(g, CostMode.DIVIDE_EQUALLY)
+            res = expand_to_unit(g)
             for s in range(n):
                 for t in range(s + 1, n):
                     for D in range(1, 8):

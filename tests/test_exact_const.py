@@ -8,6 +8,7 @@ from slsn.core import (
     SlsnInstance,
     WeightedGraph,
     canonical_path_assignment,
+    expand_to_unit,
     feasibility_check,
 )
 from slsn.exact_const import solve_unit_cost, solve_unit_length
@@ -15,7 +16,7 @@ from slsn.generators import random_instance, random_unit_cost_instance
 from slsn.oracle import brute_force_slsn
 from slsn.star_dst import solve_slst
 
-from conftest import make_instance, scaled_instance
+from conftest import cost_of, make_instance, scaled_instance, with_edges
 
 
 class TestSolveUnitLength:
@@ -235,3 +236,57 @@ class TestCrossSolver:
             if star:
                 assert solve_slst(inst).total_cost == by_length.total_cost
         assert solved >= 20
+
+    def test_unit_length_ignores_dominated_and_overlong_edges(self):
+        # a parallel edge no shorter and no cheaper, or a free path of
+        # floor(L) + 1 unit hops, leaves the optimum cost unchanged
+        rng = random.Random(4005)
+        solved = 0
+        for _ in range(30):
+            inst = _beyond_oracle_instance(rng, lambda: (1, rng.randint(1, 6)))
+            base = cost_of(solve_unit_length(inst))
+            solved += base is not None
+            g = inst.graph
+            e = g.edges[rng.randrange(g.edge_count)]
+            dominated = with_edges(inst, [(e.u, e.v, 1, e.cost + rng.randint(0, 3))])
+            assert cost_of(solve_unit_length(dominated)) == base
+            u, v = rng.sample(range(g.vertex_count), 2)
+            long = expand_to_unit(with_edges(inst, [(u, v, int(inst.L) + 1, 0)]).graph).graph
+            assert cost_of(solve_unit_length(SlsnInstance(long, inst.L, inst.demands))) == base
+        assert solved >= 20
+
+    def test_unit_cost_ignores_longer_and_overlong_edges(self):
+        # a longer parallel edge, or an edge of length floor(L) + 1, leaves
+        # the optimum cost unchanged
+        rng = random.Random(4006)
+        solved = 0
+        for _ in range(30):
+            inst = _beyond_oracle_instance(rng, lambda: (rng.randint(1, 2), 1))
+            base = cost_of(solve_unit_cost(inst))
+            solved += base is not None
+            g = inst.graph
+            e = g.edges[rng.randrange(g.edge_count)]
+            longer = with_edges(inst, [(e.u, e.v, e.length + rng.randint(1, 2), 1)])
+            assert cost_of(solve_unit_cost(longer)) == base
+            u, v = rng.sample(range(g.vertex_count), 2)
+            overlong = with_edges(inst, [(u, v, int(inst.L) + 1, 1)])
+            assert cost_of(solve_unit_cost(overlong)) == base
+        assert solved >= 20
+
+
+def _beyond_oracle_instance(rng, length_and_cost):
+    """An instance in the TestCrossSolver range: n = 7..9, m = 17..24, a
+    star of 1..3 leaves or two disjoint pairs, and L = 1..4; each edge's
+    (length, cost) comes from length_and_cost()."""
+    n = rng.randint(7, 9)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    m = rng.randint(17, min(24, len(pairs)))
+    graph = WeightedGraph(n, [(u, v, *length_and_cost()) for u, v in pairs[:m]])
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    if rng.random() < 0.5:
+        demands = [(vertices[0], t) for t in vertices[1 : 1 + rng.randint(1, 3)]]
+    else:
+        demands = [tuple(vertices[:2]), tuple(vertices[2:4])]
+    return make_instance(graph, rng.randint(1, 4), demands)

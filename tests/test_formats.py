@@ -64,6 +64,19 @@ def test_missing_header_rejected():
         parse_instance("3 3 1\n2\n0 1 1 1\n")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("demands", [[1.5, 2]]), ("demands", [[0, True]]), ("n", 3.0),
+     ("edges", [{"u": 0.0, "v": 1, "len": "1", "cost": "1"}])],
+    ids=["demand-float", "demand-bool", "n-float", "edge-float"],
+)
+def test_json_vertex_ids_must_be_integers(field, value):
+    data = json.loads(dump_instance_json(parse_instance(SAMPLE)))
+    data[field] = value
+    with pytest.raises(ValueError, match="malformed instance JSON"):
+        parse_instance(json.dumps(data))
+
+
 def test_mcc_round_trip():
     text = dump_mcc(3, [(0, 1), (1, 2)], {0: 1, 1: 2, 2: 3}, 3)
     n, edges, coloring, k = parse_mcc(text)

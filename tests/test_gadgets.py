@@ -294,15 +294,41 @@ class TestGeneralCase:
             build_general(mcc_yes, DemandGraph([(0, 1), (2, 3)]))
 
     @pytest.mark.parametrize(
-        "flavor, g", [(CostFlavor.UNIT, 237 + 2 * 36), (CostFlavor.POLY, 324 * 3144 + 2 * 36)]
+        "pattern, flavor, g",
+        [
+            pytest.param(pattern, flavor, g, id=f"{flavor}-{g}")
+            for pattern, flavor, g in [
+                ("star", CostFlavor.UNIT, 237 + 2 * 36),
+                ("star", CostFlavor.POLY, 324 * 3144 + 2 * 36),
+                ("matching", CostFlavor.UNIT, 240 + 2 * 36),
+                ("matching", CostFlavor.POLY, 324 * 3147 + 2 * 36),
+                ("bipartite", CostFlavor.UNIT, 55 + 2 * 7),
+                ("bipartite", CostFlavor.POLY, 112 * 7801 + 2 * 7),
+            ]
+        ],
     )
-    def test_k3_star_with_pads_witness_meets_g(self, mcc_k3, flavor, g):
-        # k=3 star pattern (6 leaves, edge 7-8) plus two pad demands, L = 36;
-        # poly factor ceil(L * |H| / eps) = 36 * 9 = 324 at eps 1
-        H = DemandGraph([(0, leaf) for leaf in range(1, 7)] + [(7, 8), (9, 10), (0, 11)])
-        vmap = {"center": 0, "edge_u": 7, "edge_v": 8}
-        vmap.update({("leaf", i): i + 1 for i in range(6)})
-        b = build_general(mcc_k3, H, HardWitness(HardCase.H_K0_STAR, 3, vmap))
+    def test_k3_star_with_pads_witness_meets_g(self, mcc_k3, pattern, flavor, g):
+        # each k=3 hard pattern plus two pad demands; a pad adds L to g, and
+        # the poly factor is ceil(L * |H| / eps) at eps 1.
+        # star: 6 leaves and edge 7-8, L = 36, |H| = 9, factor 324
+        # matching: 7 matching edges, L = 36, |H| = 9, factor 324
+        # bipartite: 200,201 x 202..207 plus two inner edges, L = 7, |H| = 16, factor 112
+        if pattern == "star":
+            pairs = [(0, leaf) for leaf in range(1, 7)] + [(7, 8), (9, 10), (0, 11)]
+            vmap = {"center": 0, "edge_u": 7, "edge_v": 8}
+            vmap.update({("leaf", i): i + 1 for i in range(6)})
+            case = HardCase.H_K0_STAR
+        elif pattern == "matching":
+            pairs = [(2 * i, 2 * i + 1) for i in range(7)] + [(100, 101), (0, 102)]
+            vmap = {("m", i, j): 2 * i + j for i in range(7) for j in (0, 1)}
+            case = HardCase.H_KK
+        else:
+            pairs = [(s, t) for s in (200, 201) for t in range(202, 208)]
+            pairs += [(200, 201), (202, 203), (300, 301), (200, 302)]
+            vmap = {("side2", 0): 200, ("side2", 1): 201}
+            vmap.update({("big", i): 202 + i for i in range(6)})
+            case = HardCase.H_2K
+        b = build_general(mcc_k3, DemandGraph(pairs), HardWitness(case, 3, vmap))
         assert b.base.extra_demand_count == 2
         if flavor is CostFlavor.POLY:
             b = apply_poly_cost(b, 1)

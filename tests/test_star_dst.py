@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from slsn.core import (
-    CostMode,
     DemandGraph,
     SlsnInstance,
     WeightedGraph,
@@ -22,7 +21,7 @@ from slsn.star_dst import (
     solve_slst,
 )
 
-from conftest import make_instance
+from conftest import cost_of, make_instance, with_edges
 
 
 class TestLayeredReduction:
@@ -116,17 +115,6 @@ class TestSolveDst:
                     sub = (sub - 1) & mask
 
 
-def with_edges(inst, extra=(), scale=1):
-    """inst with extra edges appended and every cost multiplied by scale."""
-    g = inst.graph
-    edges = [(e.u, e.v, e.length, e.cost * scale) for e in g.edges] + list(extra)
-    return SlsnInstance(WeightedGraph(g.vertex_count, edges), inst.L, inst.demands)
-
-
-def cost_of(solution):
-    return None if solution is None else solution.total_cost
-
-
 class TestSolveSlst:
     def test_p1_min_cost_bounded_path(self, detour_graph):
         assert solve_slst(make_instance(detour_graph, 1, [(0, 2)])).total_cost == 3
@@ -172,7 +160,7 @@ class TestSolveSlst:
             # a free edge longer than L, as a path of unit hops
             u, v = rng.sample(range(g.vertex_count), 2)
             long = with_edges(inst, [(u, v, int(inst.L) + 1, 0)]).graph
-            expanded = expand_to_unit(long, CostMode.DIVIDE_EQUALLY).graph
+            expanded = expand_to_unit(long).graph
             assert cost_of(solve_slst(SlsnInstance(expanded, inst.L, inst.demands))) == base
             c = rng.choice((Fraction(3), Fraction(5, 2)))
             scaled = cost_of(solve_slst(with_edges(inst, scale=c)))
