@@ -52,7 +52,7 @@ from .core import (
     dijkstra,
     feasibility_check,
 )
-from .exact_const import _fits, _solve_by_chains, length_distances
+from .exact_const import _solve_by_chains, length_distances
 from .star_dst import Label, star_frontiers, star_terminals, tree_edges
 
 
@@ -301,8 +301,7 @@ def approx_const(
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
-    p = instance.demands.size
-    if p < 1:
+    if instance.demands.size < 1:
         raise ValueError("at least one demand required")
     graph = instance.graph
     if bounds is _RUN_OPT_LOW:
@@ -368,11 +367,7 @@ def approx_const(
             options[pair] = list(found)
         return options[pair]
 
-    dists = length_distances(graph)
-
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple]:
-        if not _fits(dists, seq, instance.length_cap):
-            return  # even the shortest segments cannot meet L jointly
         per_seg = []
         for a, b in zip(seq, seq[1:]):
             pair = (min(a, b), max(a, b))
@@ -382,7 +377,7 @@ def approx_const(
             per_seg.append([((pair, oid), edges) for oid, edges in enumerate(opts)])
         yield from itertools.product(*per_seg)
 
-    return _solve_by_chains(instance, 2 * (p - 1), dists, guesses)
+    return _solve_by_chains(instance, length_distances(graph), guesses)
 
 
 # ---------------------------------------------------------------------------

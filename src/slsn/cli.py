@@ -380,6 +380,8 @@ def _cmd_bench(args) -> int:
     if args.seed is None:
         print("bench refuses to run without --seed (reproducibility)", file=sys.stderr)
         return EXIT_ERROR
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     suites = [args.suite] if args.suite else list(_BENCH_SUITES)
     rows = [row for s in suites for row in _bench_rows(s, args.trials, args.seed)]
     buf = io.StringIO()
@@ -459,7 +461,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, oracle.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

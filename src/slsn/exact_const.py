@@ -13,27 +13,30 @@ Guess space. Every optimal solution admits a path assignment where two
 paths overlap in at most one maximal shared subpath, so each demand's path
 decomposes at junction vertices into at most 2(p-1)+1 subpaths whose
 endpoints are junctions or terminals.  The solver therefore enumerates, per
-demand, a chain: an ordered sequence of at most min(2(p-1), budget-1)
-distinct intermediate vertices together with one budget per consecutive
-pair, with budgets consistent across demands for a shared pair.  Chains
-whose segments admit no path within budget are skipped, as are combinations
-with a non-terminal intermediate used by fewer than two demands (junctions
-are shared by definition); neither skip can remove the optimal guess.  All
-surviving unions are feasibility-checked and costed exactly, so the
-returned cost equals the optimum whenever the optimal guess is enumerated,
-which the decomposition above guarantees.
+demand, a chain: an ordered sequence of at most 2(p-1) distinct
+intermediate vertices together with one budget per consecutive pair, with
+budgets consistent across demands for a shared pair.  One rule decides
+which sequences are admissible: their consecutive shortest lengths must sum
+to at most L.  It is applied to each prefix closed by the demand's target,
+which is exact: by the triangle inequality an extension never sums to less
+than its prefix.  Chains whose segments admit no path within budget are
+skipped, as are combinations with a non-terminal intermediate used by fewer
+than two demands (junctions are shared by definition); neither skip can
+remove the optimal guess.  All surviving unions are feasibility-checked and
+costed exactly, so the returned cost equals the optimum whenever the
+optimal guess is enumerated, which the decomposition above guarantees.
 
 One search serves all three constant-demand solvers: _enumerate_chains
-walks the junction sequences and asks a per-solver guess function for the
-segment guesses of each; _search_best_union joins the chains, and
-_solve_by_chains runs both and returns Solution.build of the best union,
-with its canonical witness paths.  Both exact variants guess budgets
-through _budget_guesses (solve_unit_cost first drops sequences whose
-shortest segment lengths already exceed L), and approx.approx_const
+walks the admissible junction sequences and asks a per-solver guess
+function for the segment guesses of each; _search_best_union joins the
+chains, and _solve_by_chains runs both and returns Solution.build of the
+best union, with its canonical witness paths.  Both exact variants run
+_solve_by_budgets, which guesses budgets through _budget_guesses; they
+differ only in the segment path a budget resolves to.  approx.approx_const
 guesses min-dist paths.  The search adds and compares only the graph's
 integer view: chain and union costs are ints over the cost denominator,
-distance tables ints over the length denominator, and L is the
-instance's length_cap.
+distance tables ints over the length denominator, and L is the instance's
+length_cap.
 
 Runtime is n^O(p^4) as for the plain guess loops; in practice the search is
 driven by cost-bound pruning (a partial union at or above the incumbent
@@ -110,26 +113,32 @@ _Guess = tuple[tuple[tuple[int, int], int], Iterable[int]]
 
 
 def _enumerate_chains(
-    graph: WeightedGraph,
+    instance: SlsnInstance,
     s: int,
     t: int,
-    max_intermediates: int,
-    hops: list[list],
+    lengths: list[list[Optional[int]]],
     guesses: Callable[[tuple[int, ...]], Iterator[tuple[_Guess, ...]]],
 ) -> list[_Chain]:
-    """All chains for one demand, cheapest first.
+    """All chains for demand s-t, cheapest first.
 
-    A sequence is s, up to max_intermediates distinct vertices, then t; a
-    vertex is appended only when hops[last][vertex] is not None (any
-    distance table of the graph serves).  guesses(sequence) yields the
-    sequence's admissible guesses, each one _Guess per segment, and every
-    guess becomes a chain.
+    A sequence is s, at most 2(p-1) distinct intermediates, then t, and it
+    is admissible when lengths[a][b] over its consecutive pairs sum to at
+    most instance.length_cap.  The rule is applied to each prefix: w is
+    appended only when the prefix, lengths[last][w] and lengths[w][t] fit.
+    lengths must be a shortest-path table (length_distances, or the equal
+    hop table of a unit-length graph): by the triangle inequality no
+    extension sums to less than its prefix, so the pruning skips only
+    sequences that would yield no chain.  guesses(sequence) yields each
+    admissible sequence's guesses, one _Guess per segment, and every guess
+    becomes a chain.
     """
+    graph, cap = instance.graph, instance.length_cap
+    max_intermediates = 2 * (instance.demands.size - 1)
     pool = [w for w in range(graph.vertex_count) if w != s and w != t]
     costs = graph.int_costs
     chains: list[_Chain] = []
 
-    def build(seq: list[int], depth: int) -> None:
+    def build(seq: list[int], total: int) -> None:
         sequence = (*seq, t)
         for guess in guesses(sequence):
             edges = frozenset().union(*(path for _, path in guess))
@@ -142,27 +151,20 @@ def _enumerate_chains(
                     frozenset(seq[1:]),
                 )
             )
-        if depth == max_intermediates:
+        if len(seq) > max_intermediates:
             return
+        row = lengths[seq[-1]]
         for w in pool:
-            if w not in seq and hops[seq[-1]][w] is not None:
+            rest = lengths[w][t]  # seq[-1] reaches t, so row[w] exists with rest
+            if rest is not None and w not in seq and total + row[w] + rest <= cap:
                 seq.append(w)
-                build(seq, depth + 1)
+                build(seq, total + row[w])
                 seq.pop()
 
-    build([s], 0)
+    if lengths[s][t] is not None and lengths[s][t] <= cap:
+        build([s], 0)
     chains.sort(key=lambda c: (c.cost, c.sequence, c.items))
     return chains
-
-
-def _fits(table: list[list], seq: tuple[int, ...], bound) -> bool:
-    """Distances along consecutive pairs of seq are all defined and sum to at most bound."""
-    total = 0
-    for a, b in zip(seq, seq[1:]):
-        if table[a][b] is None:
-            return False
-        total += table[a][b]
-    return total <= bound
 
 
 def _budget_guesses(
@@ -173,9 +175,11 @@ def _budget_guesses(
     """Guesses of one integer budget per segment, for ``_enumerate_chains``.
 
     Each segment's budget is at least its hop distance and the budgets sum
-    to at most total_budget.  seg_path(u, v, budget), called with u < v and
-    memoised here, resolves a segment; a budget it leaves without a path
-    ends that branch.
+    to at most total_budget; a sequence whose hop distances already exceed
+    total_budget gets no guess.  seg_path(u, v, budget), called with u < v
+    and memoised here, resolves a segment; a budget it leaves without a
+    path ends that branch.  The caller's chain search admits only
+    sequences whose pairs are connected.
     """
     memo: dict[tuple[int, int, int], Optional[Path]] = {}
 
@@ -186,8 +190,6 @@ def _budget_guesses(
         return memo[key]
 
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple[_Guess, ...]]:
-        if not _fits(hops, seq, total_budget):
-            return
         pairs = list(zip(seq, seq[1:]))
         acc: list[_Guess] = []
 
@@ -272,14 +274,15 @@ def _search_best_union(
 
 def _solve_by_chains(
     instance: SlsnInstance,
-    max_intermediates: int,
-    hops: list[list],
+    lengths: list[list[Optional[int]]],
     guesses: Callable[[tuple[int, ...]], Iterator[tuple[_Guess, ...]]],
 ) -> Optional[Solution]:
     """The cheapest feasible union of per-demand chains, with its witness
-    paths; None when some demand has no chain or no union is feasible."""
+    paths; None when some demand has no chain or no union is feasible.
+    lengths is the graph's shortest-path table that _enumerate_chains
+    holds each junction sequence against L with."""
     chain_lists = [
-        _enumerate_chains(instance.graph, s, t, max_intermediates, hops, guesses)
+        _enumerate_chains(instance, s, t, lengths, guesses)
         for s, t in instance.demands.pairs
     ]
     if any(not lst for lst in chain_lists):
@@ -288,13 +291,27 @@ def _solve_by_chains(
     return None if union is None else Solution.build(instance, union)
 
 
-def _warn_large_p(p: int) -> None:
+def _solve_by_budgets(
+    instance: SlsnInstance, seg_path: Callable[[int, int, int], Optional[Path]]
+) -> Optional[Solution]:
+    """The exact solvers' chain search: one integer budget per segment,
+    resolved by seg_path(u, v, budget) (see _budget_guesses)."""
+    graph = instance.graph
+    p = instance.demands.size
+    if p < 1:
+        raise ValueError("at least one demand required")
     if p > 4:
         warnings.warn(
             f"p={p} demands: runtime grows as n^O(p^4); expect this to be slow",
             RuntimeWarning,
             stacklevel=3,
         )
+    # simple paths use at most n-1 edges, and with integer lengths of at
+    # least 1 a path within L uses at most floor(L)
+    budget = min(instance.length_cap, graph.vertex_count - 1)
+    hops = hop_distances(graph)
+    lengths = hops if graph.has_unit_lengths() else length_distances(graph)
+    return _solve_by_chains(instance, lengths, _budget_guesses(hops, budget, seg_path))
 
 
 def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:
@@ -302,18 +319,9 @@ def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:
     graph = instance.graph
     if not graph.has_unit_lengths():
         raise ValueError("solve_unit_length requires unit edge lengths")
-    p = instance.demands.size
-    if p < 1:
-        raise ValueError("at least one demand required")
-    _warn_large_p(p)
-    hop_budget = min(instance.length_cap, max(graph.vertex_count - 1, 0))
-    if hop_budget < 1:
-        return None
-    hops = hop_distances(graph)
-    guesses = _budget_guesses(
-        hops, hop_budget, lambda u, v, budget: restricted_min_cost_path(graph, u, v, budget)
+    return _solve_by_budgets(
+        instance, lambda u, v, budget: restricted_min_cost_path(graph, u, v, budget)
     )
-    return _solve_by_chains(instance, min(2 * (p - 1), hop_budget - 1), hops, guesses)
 
 
 def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
@@ -323,30 +331,9 @@ def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
         raise ValueError("solve_unit_cost requires unit edge costs")
     if not graph.has_integer_lengths():
         raise ValueError("solve_unit_cost requires positive integer edge lengths")
-    p = instance.demands.size
-    if p < 1:
-        raise ValueError("at least one demand required")
-    _warn_large_p(p)
-    # simple paths use at most n-1 edges, and with integer lengths of at
-    # least 1 a path within L uses at most floor(L)
-    cost_budget = min(instance.length_cap, max(graph.vertex_count - 1, 0))
-    if cost_budget < 1:
-        return None
-    hops = hop_distances(graph)
-    lengths = length_distances(graph)
-    budgets = _budget_guesses(
-        hops,
-        cost_budget,
-        lambda u, v, budget: shortest_length_under_edge_budget(graph, u, v, budget),
+    solution = _solve_by_budgets(
+        instance, lambda u, v, budget: shortest_length_under_edge_budget(graph, u, v, budget)
     )
-
-    def guesses(seq: tuple[int, ...]) -> Iterator[tuple[_Guess, ...]]:
-        # A sequence whose shortest segments cannot jointly meet L is
-        # useless: even with unbounded edge budgets it is too long.
-        if _fits(lengths, seq, instance.length_cap):
-            yield from budgets(seq)
-
-    solution = _solve_by_chains(instance, min(2 * (p - 1), cost_budget - 1), hops, guesses)
     if solution is None and feasibility_check(instance, range(graph.edge_count)).feasible:
         raise AssertionError("feasible instance but no feasible union of chains")
     return solution

@@ -84,6 +84,9 @@ def brute_force_restricted_path(
     Every partial path counts against budget.max_simple_paths.  Ties by
     cost are broken by the lexicographically smallest vertex sequence.
     """
+    for end in (u, v):
+        if not 0 <= end < graph.vertex_count:
+            raise ValueError(f"path endpoint {end} outside 0..{graph.vertex_count - 1}")
     if u == v:
         return Path.trivial(u)
     adj = adjacency(graph, range(graph.edge_count), graph.edges)

@@ -391,3 +391,39 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch([])
     assert exc.value.code == 2
+
+
+PATH_3 = "slsn 1\n3 2 1\n2\n0 1 1 1\n1 2 1 1\n0 2\n"  # the path 0-1-2
+
+
+@pytest.mark.parametrize(
+    "ends, bad",
+    [(["--source", "9"], "9"), (["--target", "9"], "9"),
+     (["--source", "9", "--target", "9"], "9"), (["--source", "-1", "--target", "2"], "-1")],
+    ids=["source", "target", "both", "negative-source"],
+)
+def test_oracle_path_rejects_endpoints_outside_the_graph(capsys, tmp_path, ends, bad):
+    inst = tmp_path / "path.slsn"
+    inst.write_text(PATH_3)
+    code = dispatch(["oracle", "path", str(inst), *ends])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and f"endpoint {bad} outside 0..2" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["slsn", "--max-edges", "1"], ["path", "--target", "2", "--max-paths", "1"]],
+    ids=["slsn-max-edges", "path-max-paths"],
+)
+def test_oracle_over_budget_is_an_error_line(capsys, tmp_path, argv):
+    inst = tmp_path / "path.slsn"
+    inst.write_text(PATH_3)
+    code = dispatch(["oracle", argv[0], str(inst), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "exceed" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_bench_rejects_trials_below_one(capsys, trials):
+    code = dispatch(["bench", "--seed", "1", "--trials", trials])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == "" and out.err.startswith("error:") and "--trials" in out.err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,17 @@ from slsn.core import (
     expand_to_unit,
     feasibility_check,
 )
-from slsn.exact_const import solve_unit_cost, solve_unit_length
+from slsn.core import restricted_min_cost_path
+from slsn.exact_const import (
+    _budget_guesses,
+    _Chain,
+    _enumerate_chains,
+    hop_distances,
+    length_distances,
+    shortest_length_under_edge_budget,
+    solve_unit_cost,
+    solve_unit_length,
+)
 from slsn.generators import random_instance, random_unit_cost_instance
 from slsn.oracle import brute_force_slsn
 from slsn.star_dst import solve_slst
@@ -290,3 +301,67 @@ def _beyond_oracle_instance(rng, length_and_cost):
     else:
         demands = [tuple(vertices[:2]), tuple(vertices[2:4])]
     return make_instance(graph, rng.randint(1, 4), demands)
+
+
+def _unpruned_chains(instance, s, t, lengths, guesses):
+    """Reference for _enumerate_chains: every sequence of up to 2(p-1)
+    distinct intermediates, kept when its shortest lengths fit L."""
+    graph = instance.graph
+    pool = [w for w in range(graph.vertex_count) if w not in (s, t)]
+    chains = []
+    for k in range(2 * (instance.demands.size - 1) + 1):
+        for mid in itertools.permutations(pool, k):
+            seq = (s, *mid, t)
+            steps = [lengths[a][b] for a, b in zip(seq, seq[1:])]
+            if None in steps or sum(steps) > instance.length_cap:
+                continue
+            for guess in guesses(seq):
+                edges = frozenset().union(*(path for _, path in guess))
+                cost = sum(graph.int_costs[idx] for idx in edges)
+                chains.append(_Chain(seq, tuple(item for item, _ in guess), edges, cost, frozenset(mid)))
+    return sorted(chains, key=lambda c: (c.cost, c.sequence, c.items))
+
+
+class TestChainSearch:
+    def test_prefix_pruning_keeps_every_chain(self):
+        rng = random.Random(1313)
+        compared = 0
+        for trial in range(8):
+            unit = trial % 2 == 0
+            n = rng.randint(5, 8)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, rng.randint(n - 1, min(2 * n, len(pairs))))
+            graph = WeightedGraph(
+                n, [(u, v, 1 if unit else rng.randint(1, 3), rng.randint(1, 5)) for u, v in edges]
+            )
+            hops, lengths = hop_distances(graph), length_distances(graph)
+            resolvers = [shortest_length_under_edge_budget]
+            if unit:
+                resolvers.append(restricted_min_cost_path)
+            for p in (1, 2, 3):
+                demands = rng.sample(pairs, p)
+                for L in [Fraction(1, 2), *range(1, n + 2)]:
+                    inst = make_instance(graph, L, demands)
+                    budget = min(inst.length_cap, n - 1)
+                    for resolve in resolvers:
+                        guesses = _budget_guesses(
+                            hops, budget, lambda u, v, b, f=resolve: f(graph, u, v, b)
+                        )
+                        for s, t in inst.demands.pairs:
+                            mine = _enumerate_chains(inst, s, t, lengths, guesses)
+                            assert mine == _unpruned_chains(inst, s, t, lengths, guesses)
+                            compared += bool(mine)
+        assert compared >= 100
+
+    @pytest.mark.parametrize(
+        "solve, make", [(solve_unit_length, random_instance), (solve_unit_cost, random_unit_cost_instance)]
+    )
+    def test_none_below_one_and_oracle_at_n_and_beyond(self, solve, make):
+        rng = random.Random(1314)
+        for _ in range(15):
+            base = make(rng, n_max=6, m_max=10)
+            n = base.graph.vertex_count
+            assert solve(SlsnInstance(base.graph, Fraction(1, 2), base.demands)) is None
+            for L in (n, n + 3):
+                inst = SlsnInstance(base.graph, L, base.demands)
+                assert cost_of(solve(inst)) == cost_of(brute_force_slsn(inst))

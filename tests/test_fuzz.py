@@ -1,10 +1,12 @@
-"""Seeded CLI fuzz: a mutated input file never ends in a traceback.
+"""Seeded CLI fuzz: a mutated input file or a drawn numeric argument never
+ends in a traceback.
 
 Valid instance text, instance JSON, MCC and solution files are truncated,
 token-swapped, line-deleted, number-bumped or given JSON values of another
 type, then run through ``dispatch``.  The bar: dispatch returns; exit 1 comes with an
 ``error:`` line on stderr, and exit 3 with a JSON report that says
-``"feasible": false``.
+``"feasible": false``.  Numeric options get values from a fixed list, valid
+and not; argparse may also refuse one with exit 2 and its own ``error:``.
 """
 
 import json
@@ -125,3 +127,52 @@ def test_mutated_files_end_in_an_exit_code(capsys, tmp_path, family):
             assert err.startswith("error:"), (text, err)
         elif code == 3:
             assert json.loads(out)["feasible"] is False, (text, out)
+
+
+# Numeric argument values, valid and not, drawn for the options below
+ARGUMENT_VALUES = ["-2", "-1", "0", "1", "2", "3", "9", "1/0", "-1/2", "abc", "nan"]
+
+# argv before the drawn options -> the numeric options it takes; bench runs
+# only the exact suite, and draws no trial count above 2
+ARGUMENT_COMMANDS = [
+    (["oracle", "path", "{tmp}/inst.slsn"], ["--source", "--target", "--bound", "--max-edges", "--max-paths"]),
+    (["solve", "{tmp}/inst.slsn"], ["--eps", "--k"]),
+    (["solve", "{tmp}/inst.slsn", "--approx-const"], ["--eps", "--k"]),
+    (["classify", "{tmp}/inst.slsn"], ["--k"]),
+    (["gadget", "--case", "h0star", "--mcc", "{tmp}/g.mcc", "-o", "{tmp}/g", "--poly-cost"],
+     ["--k", "--eps", "--emit-witness"]),
+    (["bench", "--seed", "1", "--suite", "exact"], ["--trials"]),
+]
+
+
+def _small(value):
+    """No trial count above 2; values that are not ints stay."""
+    try:
+        return int(value) <= 2
+    except ValueError:
+        return True
+
+
+def test_numeric_arguments_end_in_an_exit_code(capsys, tmp_path):
+    rng = random.Random(15)
+    (tmp_path / "inst.slsn").write_text(INSTANCE)
+    (tmp_path / "g.mcc").write_text(MCC)
+    for _ in range(300):
+        prefix, options = rng.choice(ARGUMENT_COMMANDS)
+        argv = [a.format(tmp=tmp_path) for a in prefix]
+        for option in rng.sample(options, rng.randint(1, min(2, len(options)))):
+            values = [v for v in ARGUMENT_VALUES if option != "--trials" or _small(v)]
+            argv += [option, rng.choice(values)]
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:  # argparse refuses a value it cannot convert
+            assert exc.code == 2 and "error:" in capsys.readouterr().err, argv
+            continue
+        except Exception as exc:  # any other escape is a failure, reported with its argv
+            pytest.fail(f"{argv} raised {exc!r}")
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert err.startswith("error:"), (argv, err)
+        elif code == 3:
+            report = json.loads(out)  # "oracle path" reports found, the others feasible
+            assert report.get("feasible", report.get("found")) is False, (argv, out)
