@@ -389,9 +389,11 @@ class HeightTable:
 
     Stored sparsely: per (vertex, subset) the Pareto frontier of
     (height, scaled cost) labels that star_dst.star_frontiers fills.
-    d(v, R, j) is the least frontier height of scaled cost at most j; the
-    dense table of the recurrence is exactly this map read off along the
-    budget axis.  Frontier heights are integers over denominator, the
+    d(v, R, j) is the least frontier height of scaled cost at most j among
+    heights at most L - d(root, v), the slack of v from the star root: a
+    taller tree at v fits in no root tree of height at most L.  The dense
+    table of the recurrence, cut at each vertex's slack, is exactly this map
+    read off along the budget axis.  Frontier heights are integers over denominator, the
     graph's length denominator; query returns them as exact Fractions.
     """
 
@@ -436,17 +438,18 @@ def build_height_table(
     Subtrees rooted at v covering subset R are built from (a) proper
     splits of R at the same root (the v'=v case of the recurrence, a
     virtual zero-length zero-cost edge) and (b) extension along an edge
-    {v,v'} from a subtree rooted at v'.  Heights above L and scaled costs
-    above ceil(n^3 (1+eps)/eps) can never be used and are pruned.
+    {v,v'} from a subtree rooted at v'.  Heights above the slack
+    L - d(root, v) and scaled costs above ceil(n^3 (1+eps)/eps) can never
+    be used and are pruned.
     """
     eps = Fraction(eps)
     graph = instance.graph
     n = graph.vertex_count
-    _, terminals = star_terminals(instance)
+    root, terminals = star_terminals(instance)
     scaled = ScaledCosts.compute(graph, eps, C)
     cap = -(-n ** 3 * (eps.numerator + eps.denominator) // eps.numerator)  # n^3 (1+eps)/eps
     frontiers = star_frontiers(
-        graph, terminals, graph.int_lengths, scaled.values, instance.length_cap, cap
+        graph, terminals, graph.int_lengths, scaled.values, instance.length_cap, cap, root=root
     )
     return HeightTable(terminals, frontiers, cap, graph.length_denominator)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -378,8 +379,7 @@ def _bench_rows(suite: str, trials: int, seed: int) -> list[dict]:
 
 def _cmd_bench(args) -> int:
     if args.seed is None:
-        print("bench refuses to run without --seed (reproducibility)", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("bench refuses to run without --seed (reproducibility)")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     suites = [args.suite] if args.suite else list(_BENCH_SUITES)
@@ -457,8 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser dispatch uses, built on its first call, once per process."""
+    return build_parser()
+
+
 def dispatch(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError, KeyError, oracle.BudgetExceededError) as exc:

@@ -9,7 +9,8 @@ the subset at each vertex seed a heap, labels leave it in (height, cost)
 order, and a label is kept only if it is cheaper than every kept label of
 no greater height at its vertex.  solve_slst runs it with unit lengths and
 exact integer costs and reads the cheapest tree of height at most L;
-approx.build_height_table runs it with scaled costs and a cost cap.
+approx.build_height_table runs it with scaled costs and a cost cap.  Both
+pass the star root, so a label at v is kept only up to L - d(root, v).
 
 The paper's exact algorithm reduces unit-length stars to a directed Steiner
 tree on an (L+1)-layered digraph: layer i holds a copy v(i) of every
@@ -33,6 +34,7 @@ from .core import (
     SlsnInstance,
     Solution,
     WeightedGraph,
+    adjacency,
     dijkstra,
 )
 
@@ -210,6 +212,7 @@ def star_frontiers(
     costs: Sequence[int],
     L: int,
     cap: Optional[int] = None,
+    root: Optional[int] = None,
 ) -> dict[tuple[int, int], tuple[Label, ...]]:
     """Pareto frontiers of the star DP, keyed by (vertex, terminal mask).
 
@@ -218,8 +221,20 @@ def star_frontiers(
     frontier has heights rising and costs strictly falling.  lengths are
     positive ints, costs non-negative ints; trees higher than L or dearer
     than cap (when given) are pruned.
+
+    With a root, a tree at v is also pruned above its slack
+    L - d(root, v), d the shortest length from root; a vertex the root
+    cannot reach within L takes no labels.  The root's frontiers are
+    unchanged, and every other cell is the root=None cell cut at its slack:
+    slack(w) >= slack(v) - len(v, w), so each edge parent of a kept label
+    was kept, and a split fits slack(v) only if both its parts do.
     """
     n = graph.vertex_count
+    if root is None:
+        bound = [L] * n
+    else:
+        dist, _ = dijkstra(adjacency(graph, range(graph.edge_count), lengths), {root: 0})
+        bound = [L - dist[v] if v in dist and dist[v] <= L else -1 for v in range(n)]
     tbit = {t: 1 << i for i, t in enumerate(terminals)}
     full = (1 << len(terminals)) - 1
     # arcs[b]: (a, length, cost, idx) extends a tree rooted at b to one at a
@@ -241,7 +256,7 @@ def star_frontiers(
             for a, ln, co, idx in arcs[v]:
                 row = kept.get(a)
                 h, c = label.height + ln, label.cost + co
-                if row is None or h > L or (cap is not None and c > cap):
+                if row is None or h > bound[a] or (cap is not None and c > cap):
                     continue
                 if not row or c < row[-1].cost:
                     heapq.heappush(heap, (h, c, next(order), a, ("edge", idx, label)))
@@ -300,7 +315,9 @@ def solve_slst(instance: SlsnInstance) -> Optional[Solution]:
     if not graph.has_unit_lengths():
         raise ValueError("the exact star solver requires unit edge lengths")
     L = min(instance.length_cap, max(graph.vertex_count - 1, 0))
-    frontiers = star_frontiers(graph, terminals, [1] * graph.edge_count, graph.int_costs, L)
+    frontiers = star_frontiers(
+        graph, terminals, [1] * graph.edge_count, graph.int_costs, L, root=root
+    )
     frontier = frontiers[(root, (1 << len(terminals)) - 1)]
     if not frontier:
         return None

@@ -178,6 +178,13 @@ def test_bench_requires_seed(capsys):
     assert code == 1
 
 
+def test_bench_without_seed_is_an_error_line(capsys):
+    code = dispatch(["bench", "--trials", "1"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == "error: bench refuses to run without --seed (reproducibility)\n"
+
+
 def test_bench_csv(capsys):
     code, out = run(capsys, ["bench", "--seed", "5", "--trials", "2", "--suite", "exact"])
     assert code == 0
@@ -377,6 +384,32 @@ def test_dispatch_resolves_functions_per_call(capsys, tmp_path, tri_file, mcc_fi
 
 
 def test_two_solver_flags_are_an_error_line(capsys, tri_file):
+    code = dispatch(["solve", tri_file, "--star", "--exact-const"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: choose at most one solver flag\n"
+
+
+def test_forced_solver_does_not_carry_to_the_next_dispatch(capsys, tmp_path, tri_file):
+    pairs = tmp_path / "pairs.slsn"
+    pairs.write_text(PAIR_DEMANDS)
+    code, out = run(capsys, ["solve", tri_file, "--star"])
+    assert code == 0 and json.loads(out)["solver"] == "star"
+    code, out = run(capsys, ["solve", str(pairs)])
+    assert code == 0 and json.loads(out)["solver"] == "exact-const"
+
+
+def test_dispatch_after_an_argparse_refusal(capsys, tri_file):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["solve", tri_file, "--no-such-flag"])
+    assert exc.value.code == 2
+    code, out = run(capsys, ["solve", tri_file])
+    report = json.loads(out)
+    assert code == 0 and report["solver"] == "star" and report["cost"] == "2"
+
+
+def test_two_solver_flags_after_single_flag_calls(capsys, tri_file):
+    for flag in ("--star", "--exact-const"):
+        assert run(capsys, ["solve", tri_file, flag])[0] == 0
     code = dispatch(["solve", tri_file, "--star", "--exact-const"])
     assert code == 1
     assert capsys.readouterr().err == "error: choose at most one solver flag\n"

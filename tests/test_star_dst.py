@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from slsn.approx import ScaledCosts, build_height_table
 from slsn.core import (
     DemandGraph,
     SlsnInstance,
@@ -19,6 +20,9 @@ from slsn.star_dst import (
     dst_cost,
     solve_dst,
     solve_slst,
+    star_frontiers,
+    star_terminals,
+    tree_edges,
 )
 
 from conftest import cost_of, make_instance, with_edges
@@ -202,3 +206,84 @@ class TestSolveSlst:
             assert (mine is None) == (ref is None)
             if mine is not None:
                 assert mine.total_cost == ref.total_cost
+
+
+def root_distances(graph, lengths, root):
+    """d(root, v) for every reachable v, by Bellman-Ford over the edges."""
+    dist = {root: 0}
+    changed = True
+    while changed:
+        changed = False
+        for idx, e in enumerate(graph.edges):
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if a in dist and (b not in dist or dist[a] + lengths[idx] < dist[b]):
+                    dist[b] = dist[a] + lengths[idx]
+                    changed = True
+    return dist
+
+
+def with_far_component(inst, terminal):
+    """inst plus an edge between two new vertices the root cannot reach;
+    with terminal, the far one of them is also demanded from the root."""
+    g = inst.graph
+    n = g.vertex_count
+    edges = [(e.u, e.v, e.length, e.cost) for e in g.edges] + [(n, n + 1, 1, 0)]
+    pairs = list(inst.demands.pairs)
+    if terminal:
+        pairs.append((inst.demands.star_root(), n + 1))
+    return SlsnInstance(WeightedGraph(n + 2, edges), inst.L, DemandGraph(pairs))
+
+
+class TestRootSlackPruning:
+    """star_frontiers with a root against the unpruned DP (root=None)."""
+
+    def test_cells_are_unpruned_cells_cut_at_slack(self):
+        # unit and rational lengths, costs 0..3 and tight L make ties common
+        rng = random.Random(1414)
+        for trial in range(48):
+            kind = ("unit", "rational")[trial % 2]
+            inst = random_instance(rng, star=True, length_kind=kind, cost_range=(0, 3))
+            if trial % 3:
+                inst = with_far_component(inst, terminal=trial % 3 == 2)
+            g = inst.graph
+            root, terminals = star_terminals(inst)
+            lengths, costs = g.int_lengths, g.int_costs
+            dist = root_distances(g, lengths, root)
+            full = (1 << len(terminals)) - 1
+            for L in {rng.choice(sorted(dist.values())[1:] or [1]), max(dist.values()) + 1}:
+                for cap in (None, sum(costs) // 2):
+                    ref = star_frontiers(g, terminals, lengths, costs, L, cap)
+                    got = star_frontiers(g, terminals, lengths, costs, L, cap, root=root)
+                    assert got.keys() == ref.keys()
+                    assert got[(root, full)] == ref[(root, full)]
+                    if ref[(root, full)]:
+                        assert tree_edges(got[(root, full)][-1]) == tree_edges(
+                            ref[(root, full)][-1]
+                        )
+                    for (v, mask), row in got.items():
+                        if mask == 0:
+                            assert row == ref[(v, mask)]  # the leaf, at every vertex
+                            continue
+                        slack = L - dist[v] if v in dist else -1
+                        assert row == tuple(x for x in ref[(v, mask)] if x.height <= slack)
+
+    def test_height_table_cells_fall(self):
+        # a rational star with labels far from the root that no root tree of
+        # height <= L can use
+        edges = [
+            (0, 1, Fraction(1, 2), 1), (1, 2, Fraction(1, 2), 0), (2, 3, Fraction(3, 2), 2),
+            (0, 4, 1, 3), (4, 3, Fraction(1, 2), 1), (1, 4, Fraction(1, 3), 0),
+            (3, 5, 1, 1), (4, 5, Fraction(3, 2), 2), (5, 6, 2, 0), (2, 6, Fraction(5, 2), 1),
+        ]
+        inst = SlsnInstance(WeightedGraph(7, edges), 4, DemandGraph([(0, 3), (0, 5), (0, 6)]))
+        eps, C = Fraction(1, 4), Fraction(1)
+        table = build_height_table(inst, eps, C)
+        g = inst.graph
+        _, terminals = star_terminals(inst)
+        scaled = ScaledCosts.compute(g, eps, C).values
+        unpruned = star_frontiers(
+            g, terminals, g.int_lengths, scaled, inst.length_cap, table.budget_cap
+        )
+        assert table.frontiers[(0, 7)] == unpruned[(0, 7)] != ()
+        assert sum(len(row) for row in unpruned.values()) == 48
+        assert sum(1 for _ in table.cells()) == 33
