@@ -37,6 +37,7 @@ and HeightTable.query.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -343,35 +344,23 @@ def approx_const(
             break
         num *= b
         den *= a + b
-    arc_lists: dict[tuple[int, ...], tuple] = {}
-    tables: dict[tuple[tuple[int, ...], int], _MinDistTable] = {}
+    arc_lists = [_MinDistTable.arcs(graph, vec, budget) for vec in vectors]
 
-    def table_for(vec: tuple[int, ...], source: int) -> _MinDistTable:
-        key = (vec, source)
-        if key not in tables:
-            if vec not in arc_lists:
-                arc_lists[vec] = _MinDistTable.arcs(graph, vec, budget)
-            tables[key] = _MinDistTable(graph, source, arc_lists[vec])
-        return tables[key]
+    @functools.cache
+    def tables(source: int) -> list[_MinDistTable]:
+        return [_MinDistTable(graph, source, arcs) for arcs in arc_lists]
 
-    # options[pair]: the distinct paths found for the pair, as edge sets
-    options: dict[tuple[int, int], list[frozenset[int]]] = {}
-
-    def options_for(pair: tuple[int, int]) -> list[frozenset[int]]:
-        if pair not in options:
-            found: dict[frozenset[int], None] = {}
-            for vec in vectors:
-                walk = table_for(vec, pair[0]).walk(pair[1])
-                if walk is not None:
-                    found.setdefault(frozenset(walk[1]), None)
-            options[pair] = list(found)
-        return options[pair]
+    @functools.cache
+    def options(u: int, v: int) -> list[frozenset[int]]:
+        """The distinct paths found for the pair, as edge sets."""
+        walks = (table.walk(v) for table in tables(u))
+        return list(dict.fromkeys(frozenset(w[1]) for w in walks if w is not None))
 
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple]:
         per_seg = []
         for a, b in zip(seq, seq[1:]):
             pair = (min(a, b), max(a, b))
-            opts = options_for(pair)
+            opts = options(*pair)
             if not opts:
                 return  # later pairs would only build more tables
             per_seg.append([((pair, oid), edges) for oid, edges in enumerate(opts)])

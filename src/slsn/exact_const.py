@@ -27,16 +27,20 @@ costed exactly, so the returned cost equals the optimum whenever the
 optimal guess is enumerated, which the decomposition above guarantees.
 
 One search serves all three constant-demand solvers: _enumerate_chains
-walks the admissible junction sequences and asks a per-solver guess
-function for the segment guesses of each; _search_best_union joins the
-chains, and _solve_by_chains runs both and returns Solution.build of the
-best union, with its canonical witness paths.  Both exact variants run
-_solve_by_budgets, which guesses budgets through _budget_guesses; they
-differ only in the segment path a budget resolves to.  approx.approx_const
-guesses min-dist paths.  The search adds and compares only the graph's
-integer view: chain and union costs are ints over the cost denominator,
-distance tables ints over the length denominator, and L is the instance's
-length_cap.
+walks the admissible junction sequences from an explicit stack and asks a
+per-solver guess function for the segment guesses of each;
+_search_best_union joins the chains depth-first over a stack of per-demand
+chain iterators, and _solve_by_chains runs both and returns Solution.build
+of the best union, with its canonical witness paths.  No function of the
+search refers to itself through a closure, so a solve leaves no reference
+cycle behind.  Both exact variants run _solve_by_budgets, which guesses
+budgets through _budget_guesses: the module-level generator _split_slack
+splits the slack and a functools.cache resolves each segment once; the
+variants differ only in the segment path a budget resolves to.
+approx.approx_const guesses min-dist paths.  The search adds and compares
+only the graph's integer view: chain and union costs are ints over the cost
+denominator, distance tables ints over the length denominator, and L is
+the instance's length_cap.
 
 Runtime is n^O(p^4) as for the plain guess loops; in practice the search is
 driven by cost-bound pruning (a partial union at or above the incumbent
@@ -45,6 +49,7 @@ cost can be abandoned, since union cost only grows).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -119,7 +124,7 @@ def _enumerate_chains(
     lengths: list[list[Optional[int]]],
     guesses: Callable[[tuple[int, ...]], Iterator[tuple[_Guess, ...]]],
 ) -> list[_Chain]:
-    """All chains for demand s-t, cheapest first.
+    """All chains for demand s-t, sorted by (cost, sequence, items).
 
     A sequence is s, at most 2(p-1) distinct intermediates, then t, and it
     is admissible when lengths[a][b] over its consecutive pairs sum to at
@@ -130,16 +135,19 @@ def _enumerate_chains(
     extension sums to less than its prefix, so the pruning skips only
     sequences that would yield no chain.  guesses(sequence) yields each
     admissible sequence's guesses, one _Guess per segment, and every guess
-    becomes a chain.
+    becomes a chain.  The prefixes are walked from an explicit stack; the
+    full sort makes the walk order irrelevant.
     """
     graph, cap = instance.graph, instance.length_cap
     max_intermediates = 2 * (instance.demands.size - 1)
     pool = [w for w in range(graph.vertex_count) if w != s and w != t]
     costs = graph.int_costs
     chains: list[_Chain] = []
-
-    def build(seq: list[int], total: int) -> None:
-        sequence = (*seq, t)
+    # admissible prefixes (s, intermediates...) with their summed lengths
+    stack = [((s,), 0)] if lengths[s][t] is not None and lengths[s][t] <= cap else []
+    while stack:
+        prefix, total = stack.pop()
+        sequence = (*prefix, t)
         for guess in guesses(sequence):
             edges = frozenset().union(*(path for _, path in guess))
             chains.append(
@@ -148,23 +156,40 @@ def _enumerate_chains(
                     tuple(item for item, _ in guess),
                     edges,
                     sum(costs[idx] for idx in edges),
-                    frozenset(seq[1:]),
+                    frozenset(prefix[1:]),
                 )
             )
-        if len(seq) > max_intermediates:
-            return
-        row = lengths[seq[-1]]
+        if len(prefix) > max_intermediates:
+            continue
+        row = lengths[prefix[-1]]
         for w in pool:
-            rest = lengths[w][t]  # seq[-1] reaches t, so row[w] exists with rest
-            if rest is not None and w not in seq and total + row[w] + rest <= cap:
-                seq.append(w)
-                build(seq, total + row[w])
-                seq.pop()
-
-    if lengths[s][t] is not None and lengths[s][t] <= cap:
-        build([s], 0)
+            rest = lengths[w][t]  # prefix[-1] reaches t, so row[w] exists with rest
+            if rest is not None and w not in prefix and total + row[w] + rest <= cap:
+                stack.append(((*prefix, w), total + row[w]))
     chains.sort(key=lambda c: (c.cost, c.sequence, c.items))
     return chains
+
+
+def _split_slack(
+    hops: list[list[Optional[int]]],
+    resolve: Callable[[int, int, int], Optional[Path]],
+    pairs: tuple[tuple[int, int], ...],
+    slack: int,
+    done: tuple[_Guess, ...] = (),
+) -> Iterator[tuple[_Guess, ...]]:
+    """Every way to give each pair (u, v), u < v, a budget of its hop
+    distance plus a share of slack, appended to the guesses done; a budget
+    that resolve leaves without a path ends that branch."""
+    if not pairs:
+        yield done
+        return
+    (u, v), rest = pairs[0], pairs[1:]
+    lo = hops[u][v]
+    for budget in range(lo, lo + slack + 1):
+        path = resolve(u, v, budget)
+        if path is not None:
+            guess = (((u, v), budget), path.edges)
+            yield from _split_slack(hops, resolve, rest, slack - (budget - lo), (*done, guess))
 
 
 def _budget_guesses(
@@ -176,38 +201,16 @@ def _budget_guesses(
 
     Each segment's budget is at least its hop distance and the budgets sum
     to at most total_budget; a sequence whose hop distances already exceed
-    total_budget gets no guess.  seg_path(u, v, budget), called with u < v
-    and memoised here, resolves a segment; a budget it leaves without a
-    path ends that branch.  The caller's chain search admits only
-    sequences whose pairs are connected.
+    total_budget gets no guess.  seg_path(u, v, budget) resolves a segment;
+    it is called with u < v, once per key (functools.cache), and a budget
+    it leaves without a path ends that branch of _split_slack.  The
+    caller's chain search admits only sequences whose pairs are connected.
     """
-    memo: dict[tuple[int, int, int], Optional[Path]] = {}
-
-    def resolve(a: int, b: int, budget: int) -> Optional[Path]:
-        key = (min(a, b), max(a, b), budget)
-        if key not in memo:
-            memo[key] = seg_path(*key)
-        return memo[key]
+    resolve = functools.cache(seg_path)
 
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple[_Guess, ...]]:
-        pairs = list(zip(seq, seq[1:]))
-        acc: list[_Guess] = []
-
-        def rec(pos: int, slack: int) -> Iterator[tuple[_Guess, ...]]:
-            if pos == len(pairs):
-                yield tuple(acc)
-                return
-            a, b = pairs[pos]
-            lo = hops[a][b]
-            for budget in range(lo, lo + slack + 1):
-                path = resolve(a, b, budget)
-                if path is None:
-                    continue
-                acc.append((((min(a, b), max(a, b)), budget), path.edges))
-                yield from rec(pos + 1, slack - (budget - lo))
-                acc.pop()
-
-        yield from rec(0, total_budget - sum(hops[a][b] for a, b in pairs))
+        pairs = tuple((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:]))
+        return _split_slack(hops, resolve, pairs, total_budget - sum(hops[u][v] for u, v in pairs))
 
     return guesses
 
@@ -218,58 +221,54 @@ def _search_best_union(
 ) -> Optional[frozenset[int]]:
     """Depth-first join of per-demand chains with cost-bound pruning.
 
-    Returns the edge union of the cheapest feasible combination, or None.
-    Combinations where some non-terminal intermediate appears in a single
-    chain are skipped: a junction is by definition shared between two
-    paths, so the optimal canonical guess never needs one.
+    Returns the edge union of the cheapest feasible combination, or None;
+    among equally cheap ones, the first in the order of
+    itertools.product(*chain_lists).  The depth-first walk keeps one frame
+    per chosen demand on an explicit stack, each with its iterator over
+    that demand's chains.  A chain whose own cost reaches the incumbent
+    ends its list (the lists are sorted by cost, and a union costs at least
+    each of its chains), and a partial union that reaches it is skipped.
+    Chains that guess another budget for a pair already guessed are
+    skipped.  Combinations where some non-terminal intermediate appears in
+    a single chain are skipped: a junction is by definition shared between
+    two paths, so the optimal canonical guess never needs one.
     """
     terminals = instance.demands.vertices()
     edge_cost = instance.graph.int_costs
-    best: dict = {"cost": None, "edges": None}
-
-    def accept(cost: int, union: frozenset[int], inters: list[frozenset[int]]) -> None:
-        counts = Counter(w for s_ in inters for w in s_)
-        if any(n < 2 for w, n in counts.items() if w not in terminals):
-            return  # junction used by one path only: never canonical
-        # Explicit feasibility test, kept even for the unit-length variant
-        # where honest chain construction already implies it.
-        if not feasibility_check(instance, union).feasible:
-            return
-        best["cost"] = cost
-        best["edges"] = union
-
-    def rec(
-        i: int,
-        budgets: dict[tuple[int, int], int],
-        inters: list[frozenset[int]],
-        union: frozenset[int],
-        cost: int,
-    ) -> None:
-        if best["cost"] is not None and cost >= best["cost"]:
-            return
-        if i == len(chain_lists):
-            accept(cost, union, inters)
-            return
-        for chain in chain_lists[i]:
-            if best["cost"] is not None and chain.cost >= best["cost"]:
+    best_cost: Optional[int] = None
+    best_edges: Optional[frozenset[int]] = None
+    # (chains left for the next demand, guessed budgets, intermediates per
+    # chosen chain, union, union cost) for each prefix of chosen chains
+    stack = [(iter(chain_lists[0]), {}, [], frozenset(), 0)]
+    while stack:
+        frame = stack[-1]
+        chains, budgets, inters, union, cost = frame
+        for chain in chains:
+            if best_cost is not None and chain.cost >= best_cost:
                 break  # chains sorted by own cost; union cost dominates it
-            conflict = False
-            for pair, b in chain.items:
-                if budgets.get(pair, b) != b:
-                    conflict = True
-                    break
-            if conflict:
+            if any(budgets.get(pair, b) != b for pair, b in chain.items):
                 continue
             added = chain.edges - union
             new_cost = cost + sum(edge_cost[e] for e in added)
-            if best["cost"] is not None and new_cost >= best["cost"]:
+            if best_cost is not None and new_cost >= best_cost:
                 continue
-            new_budgets = dict(budgets)
-            new_budgets.update(chain.items)
-            rec(i + 1, new_budgets, inters + [chain.intermediates], union | added, new_cost)
-
-    rec(0, {}, [], frozenset(), 0)
-    return best["edges"]
+            new_inters, new_union = inters + [chain.intermediates], union | added
+            if len(stack) < len(chain_lists):
+                new_budgets = budgets | dict(chain.items)
+                stack.append(
+                    (iter(chain_lists[len(stack)]), new_budgets, new_inters, new_union, new_cost)
+                )
+                break  # descend; this frame resumes at its next chain
+            counts = Counter(w for s_ in new_inters for w in s_)
+            if any(n < 2 for w, n in counts.items() if w not in terminals):
+                continue  # junction used by one path only: never canonical
+            # Explicit feasibility test, kept even for the unit-length
+            # variant where honest chain construction already implies it.
+            if feasibility_check(instance, new_union).feasible:
+                best_cost, best_edges = new_cost, new_union
+        if stack[-1] is frame:
+            stack.pop()  # its chains are spent or cut off by the incumbent
+    return best_edges
 
 
 def _solve_by_chains(

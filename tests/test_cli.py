@@ -91,6 +91,27 @@ def test_solve_deterministic_bytes(capsys, tri_file):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("flags", [[], ["--approx-const"]])
+def test_solve_timing_adds_only_wall_time(capsys, tri_file, flags):
+    _, plain = run(capsys, ["solve", tri_file, *flags])
+    _, timed = run(capsys, ["solve", tri_file, *flags, "--timing"])
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert "wall_time_s" not in plain
+    assert isinstance(timed.pop("wall_time_s"), float)
+    assert timed == plain
+
+
+def test_solve_table_prints_rows_not_json(capsys, tmp_path):
+    inst = tmp_path / "pairs.slsn"
+    inst.write_text(PAIR_DEMANDS)
+    code, out = run(capsys, ["solve", str(inst), "--table"])
+    assert code == 0 and "{" not in out
+    rows = [line.split() for line in out.splitlines()]
+    assert rows[:3] == [["solver", "exact-const"], ["feasible", "True"], ["cost", "4"]]
+    assert rows[3][0] == "demand"
+    assert rows[4:] == [["0-2", "2"], ["1-3", "2"]]
+
+
 def test_solve_infeasible_exit_code(capsys, tmp_path):
     inst = tmp_path / "inf.slsn"
     # single edge of length 2 with L=1: infeasible

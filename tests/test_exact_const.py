@@ -1,9 +1,13 @@
+import gc
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from slsn.approx import approx_const, approx_star
 from slsn.core import (
     DemandGraph,
     SlsnInstance,
@@ -17,6 +21,7 @@ from slsn.exact_const import (
     _budget_guesses,
     _Chain,
     _enumerate_chains,
+    _search_best_union,
     hop_distances,
     length_distances,
     shortest_length_under_edge_budget,
@@ -322,7 +327,54 @@ def _unpruned_chains(instance, s, t, lengths, guesses):
     return sorted(chains, key=lambda c: (c.cost, c.sequence, c.items))
 
 
+def _first_cheapest_union(instance, chain_lists):
+    """Reference for _search_best_union: the first cheapest combination in
+    itertools.product order whose budgets agree on every shared pair, whose
+    non-terminal intermediates each lie on at least two chains, and whose
+    union is feasible."""
+    terminals = instance.demands.vertices()
+    best_cost = best_union = None
+    for combo in itertools.product(*chain_lists):
+        budgets = {}
+        if any(budgets.setdefault(pair, b) != b for chain in combo for pair, b in chain.items):
+            continue
+        counts = Counter(w for chain in combo for w in chain.intermediates)
+        if any(k < 2 for w, k in counts.items() if w not in terminals):
+            continue
+        union = frozenset().union(*(chain.edges for chain in combo))
+        cost = sum(instance.graph.int_costs[e] for e in union)
+        if (best_cost is None or cost < best_cost) and feasibility_check(instance, union).feasible:
+            best_cost, best_union = cost, union
+    return best_union
+
+
 class TestChainSearch:
+    @pytest.mark.parametrize(
+        "make, resolve",
+        [
+            (random_instance, restricted_min_cost_path),
+            (random_unit_cost_instance, shortest_length_under_edge_budget),
+        ],
+    )
+    def test_union_search_matches_product_reference(self, make, resolve):
+        rng = random.Random(1312)
+        compared = 0
+        for _ in range(150):
+            inst = make(rng, n_max=6, m_max=9)
+            graph = inst.graph
+            hops = hop_distances(graph)
+            lengths = hops if graph.has_unit_lengths() else length_distances(graph)
+            budget = min(inst.length_cap, graph.vertex_count - 1)
+            guesses = _budget_guesses(hops, budget, lambda u, v, b: resolve(graph, u, v, b))
+            chain_lists = [
+                _enumerate_chains(inst, s, t, lengths, guesses) for s, t in inst.demands.pairs
+            ]
+            if not all(chain_lists) or math.prod(map(len, chain_lists)) > 20000:
+                continue
+            assert _search_best_union(inst, chain_lists) == _first_cheapest_union(inst, chain_lists)
+            compared += 1
+        assert compared >= 100
+
     def test_prefix_pruning_keeps_every_chain(self):
         rng = random.Random(1313)
         compared = 0
@@ -365,3 +417,30 @@ class TestChainSearch:
             for L in (n, n + 3):
                 inst = SlsnInstance(base.graph, L, base.demands)
                 assert cost_of(solve(inst)) == cost_of(brute_force_slsn(inst))
+
+
+def test_solvers_leave_no_reference_cycles():
+    # A solve's intermediate state (chain lists, segment caches, min-dist
+    # tables) must be freed by reference counting alone, without waiting
+    # for a garbage collection.  The star solvers are a guard.
+    rng = random.Random(2024)
+    eps = Fraction(1, 4)
+    runs = [
+        (solve_unit_length, random_instance, {}),
+        (solve_unit_cost, random_unit_cost_instance, {}),
+        (lambda inst: approx_const(inst, eps), random_instance, dict(length_kind="rational")),
+        (solve_slst, random_instance, dict(star=True)),
+        (lambda inst: approx_star(inst, eps), random_instance, dict(star=True, length_kind="rational")),
+    ]
+    work = [
+        (solve, [make(rng, n_max=6, m_max=9, **kw) for _ in range(20)]) for solve, make, kw in runs
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for solve, instances in work:
+            for inst in instances:
+                solve(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
