@@ -4,16 +4,18 @@ Four pieces, used together:
   - opt_low: the smallest edge cost C whose cost-threshold subgraph is
     feasible.  C brackets the optimum: C <= OPT <= n^2 C.
   - min_dist: scaled-cost dynamic program.  Costs are rescaled to integers
-    ceil(n*c(e)/(eps*C)), and per vertex only the Pareto labels
-    (scaled cost, length) of walks from s are kept, up to the budget
-    floor(n/eps): a level is kept only where the length falls below that
-    of every cheaper level.  The last label of t, the shortest at the
-    least scaled cost, is returned.  If any s-t path has cost at most
-    (1-2*eps)*C and length D, the returned path costs at most C and is no
-    longer than D.  An edge scaled above the budget is never relaxed, so
-    the labels only depend on the costs clamped to budget + 1:
-    approx_const builds one table per distinct clamped vector, and most
-    exponents of its grid clamp every edge.
+    ceil(n*c(e)/(eps*C)), and the star DP (star_dst.star_frontiers) runs
+    from s alone with its two criteria swapped: heights are the scaled
+    costs, held to the budget floor(n/eps), and costs are the lengths.
+    Per vertex it keeps the Pareto labels (scaled cost, length) of paths
+    from s, each shorter than every label of lower scaled cost, so the last
+    label of t, the shortest at the least scaled cost, gives the returned
+    path.  If any s-t path has cost at most (1-2*eps)*C and length D, the
+    returned path costs at most C and is no longer than D.  An edge scaled
+    above the budget is never relaxed, so the labels only depend on the
+    costs clamped to budget + 1: approx_const runs the DP once per
+    distinct clamped vector and source, and most exponents of its grid
+    clamp every edge.
   - approx_const: the constant-demand FPTAS.  It runs the exact solvers'
     chain search (exact_const._solve_by_chains), but each guessed subpath
     carries a guessed cost scale (1+eps')^{c'} * C rather than a hop
@@ -38,7 +40,6 @@ and HeightTable.query.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,133 +123,13 @@ class ScaledCosts:
         return ScaledCosts(values, eps, C, n)
 
 
-class _MinDistTable:
-    """Pareto labels of the scaled-cost DP from source.
-
-    Let d(v, i) be the least length of an s-v walk of exact scaled cost i.
-    Per vertex, labels keeps (i, d(v, i)) only for the levels i at which
-    d(v, i) falls below d(v, j) for every j < i, so lengths strictly fall
-    as levels rise and the last label is best().  A dropped entry can be
-    neither best() nor on the parent chain path() walks: if a predecessor
-    (i - c, a) of (i, w) is no shorter than some (j, a) with j < i - c,
-    then level j + c already reaches w at no greater length.
-
-    Levels are settled in increasing order from a heap of the pending
-    ones, so an empty level costs nothing.  At each level a vertex takes
-    its least-length candidate, ties going to the lowest arc position,
-    scaled costs of zero (possible when an edge costs 0) are relaxed to a
-    fixpoint, and a candidate is kept only if it is shorter than the
-    vertex's last label.  Positive lengths make the fixpoint terminate and
-    the kept walks simple.
-
-    An edge whose scaled cost exceeds the budget is never relaxed, so
-    replacing every such value by budget + 1 leaves the labels, best() and
-    path() unchanged: the (n-1)*max_c cap on levels stays at or above the
-    budget either way.  Cost vectors that agree once clamped therefore
-    share one table.  Lengths are the graph's integer lengths; arcs comes
-    from arcs(), which the tables of all sources for one vector share.
-    """
-
-    @staticmethod
-    def arcs(graph: WeightedGraph, scaled: tuple[int, ...], budget: int) -> tuple:
-        """(level cap, zero-cost arcs, sorted positive arcs per vertex)."""
-        n = graph.vertex_count
-        # No simple path carries exact scaled cost above (n-1)*max_c.
-        budget = min(budget, max(n - 1, 0) * max(scaled, default=0))
-        zero_arcs: list[tuple[int, int, int]] = []
-        out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-        for idx, e in enumerate(graph.edges):
-            for pos, (a, b) in ((2 * idx, (e.u, e.v)), (2 * idx + 1, (e.v, e.u))):
-                if scaled[idx] == 0:
-                    zero_arcs.append((a, b, idx))
-                elif scaled[idx] <= budget:
-                    out[a].append((scaled[idx], pos, b, idx))
-        for row in out:
-            row.sort()
-        return budget, zero_arcs, out
-
-    def __init__(self, graph: WeightedGraph, source: int, arcs: tuple):
-        self.graph = graph
-        self.source = source
-        lengths = graph.int_lengths
-        budget, zero_arcs, out = arcs
-        self.labels: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
-        self.parent: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
-        # pending[i][w]: the best candidate so far for (i, w), as
-        # (length, arc position, parent); levels is the heap of pending levels
-        pending: dict[int, dict[int, tuple]] = {0: {source: (0, -1, None)}}
-        levels = [0]
-        while levels:
-            i = heapq.heappop(levels)
-            cands = pending.pop(i)
-            row = {w: cand[0] for w, cand in cands.items()}
-            via = {w: cand[2] for w, cand in cands.items()}
-            # zero scaled-cost edges stay within the level
-            changed = bool(zero_arcs)
-            while changed:
-                changed = False
-                for a, b, idx in zero_arcs:
-                    if a in row:
-                        nl = row[a] + lengths[idx]
-                        if b not in row or nl < row[b]:
-                            row[b] = nl
-                            via[b] = (a, idx, i)
-                            changed = True
-            for a, length in row.items():
-                kept = self.labels[a]
-                if kept and length >= kept[-1][1]:
-                    continue  # a lower level reaches a at no greater length
-                kept.append((i, length))
-                self.parent[(i, a)] = via[a]
-                for c, pos, w, idx in out[a]:
-                    j = i + c
-                    if j > budget:
-                        break
-                    cand = (length + lengths[idx], pos, (a, idx, i))
-                    slot = pending.get(j)
-                    if slot is None:
-                        slot = pending[j] = {}
-                        heapq.heappush(levels, j)
-                    if w not in slot or cand < slot[w]:
-                        slot[w] = cand
-
-    def best(self, target: int) -> Optional[tuple[int, int]]:
-        """(level, scaled integer length) minimizing length, or None."""
-        kept = self.labels[target]
-        return kept[-1] if kept else None
-
-    def walk(self, target: int) -> Optional[tuple[list[int], list[int]]]:
-        """Vertices and edge indices of path(target), from the source."""
-        got = self.best(target)
-        if got is None:
-            return None
-        i, _ = got
-        vertices = [target]
-        edge_seq: list[int] = []
-        w = target
-        while w != self.source or i != 0:
-            a, idx, i = self.parent[(i, w)]
-            edge_seq.append(idx)
-            vertices.append(a)
-            w = a
-        vertices.reverse()
-        edge_seq.reverse()
-        return vertices, edge_seq
-
-    def path(self, target: int) -> Optional[Path]:
-        got = self.walk(target)
-        if got is None:
-            return None
-        return Path.from_edge_sequence(self.graph, *got)
-
-
 def min_dist(
     graph: WeightedGraph, s: int, t: int, eps: Fraction, C: Fraction
 ) -> Optional[Path]:
     """Scaled-cost shortest path: cost at most C, length within the best
     achievable by any path of cost at most (1-2*eps)*C.
 
-    eps must lie in (0, 1/2); C must be positive.
+    eps must lie in (0, 1/2); C must be positive; s and t lie in 0..n-1.
     """
     eps = Fraction(eps)
     C = Fraction(C)
@@ -256,9 +137,24 @@ def min_dist(
         raise ValueError("eps must lie in (0, 1/2)")
     if C <= 0:
         raise ValueError("C must be positive")
+    n = graph.vertex_count
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"endpoints must lie in 0..{n - 1}")
+    if s == t:
+        return Path.trivial(s)
     scaled = ScaledCosts.compute(graph, eps, C)
-    budget = graph.vertex_count * eps.denominator // eps.numerator
-    return _MinDistTable(graph, s, _MinDistTable.arcs(graph, scaled.values, budget)).path(t)
+    budget = n * eps.denominator // eps.numerator
+    frontier = star_frontiers(graph, (s,), scaled.values, graph.int_lengths, budget)[(t, 1)]
+    if not frontier:
+        return None
+    # the last label's edge chain runs from t back to s
+    label, vertices, edge_seq = frontier[-1], [t], []
+    while label.prov[0] == "edge":
+        _, idx, label = label.prov
+        e = graph.edges[idx]
+        vertices.append(e.u if e.v == vertices[-1] else e.v)
+        edge_seq.append(idx)
+    return Path.from_edge_sequence(graph, vertices[::-1], edge_seq[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +213,16 @@ def approx_const(
     budget = n * eps_i.denominator // eps_i.numerator
 
     # Distinct scaled-cost vectors over the exponent grid, clamped to
-    # budget + 1 (see _MinDistTable); each vector is solved once per
-    # source, and per pair the distinct resulting paths become that pair's
-    # options.  Exponent c' scales an integer cost c over D to
-    # ceil(c * num / den), num / den = n / (eps' (1+eps')^c' C D), so each
-    # step divides num / den by 1+eps' = (a+b)/b.  The factor falls as the
-    # exponent rises: while even the cheapest positive edge scales above
-    # the budget every edge clamps, and once the dearest scales to at most
-    # 1 every later vector is the same (1 per positive cost), so only the
-    # exponents between are built.
+    # budget + 1: star_frontiers never relaxes an edge whose height alone
+    # exceeds L = budget, so the clamp changes no label.  Each vector is
+    # solved once per source, and per pair the distinct resulting paths
+    # become that pair's options.  Exponent c' scales an integer cost c
+    # over D to ceil(c * num / den), num / den = n / (eps' (1+eps')^c' C D),
+    # so each step divides num / den by 1+eps' = (a+b)/b.  The factor falls
+    # as the exponent rises: while even the cheapest positive edge scales
+    # above the budget every edge clamps, and once the dearest scales to at
+    # most 1 every later vector is the same (1 per positive cost), so only
+    # the exponents between are built.
     a, b = eps_i.numerator, eps_i.denominator
     costs = graph.int_costs
     positive = [c for c in costs if c > 0]
@@ -344,17 +241,17 @@ def approx_const(
             break
         num *= b
         den *= a + b
-    arc_lists = [_MinDistTable.arcs(graph, vec, budget) for vec in vectors]
+    lengths = graph.int_lengths
 
     @functools.cache
-    def tables(source: int) -> list[_MinDistTable]:
-        return [_MinDistTable(graph, source, arcs) for arcs in arc_lists]
+    def tables(source: int) -> list[dict[tuple[int, int], tuple[Label, ...]]]:
+        return [star_frontiers(graph, (source,), vec, lengths, budget) for vec in vectors]
 
     @functools.cache
     def options(u: int, v: int) -> list[frozenset[int]]:
         """The distinct paths found for the pair, as edge sets."""
-        walks = (table.walk(v) for table in tables(u))
-        return list(dict.fromkeys(frozenset(w[1]) for w in walks if w is not None))
+        frontiers = (table[(v, 1)] for table in tables(u))
+        return list(dict.fromkeys(frozenset(tree_edges(f[-1])) for f in frontiers if f))
 
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple]:
         per_seg = []

@@ -1,4 +1,5 @@
-"""The star DP shared by both star solvers, and the layered DST reduction.
+"""The bicriteria label DP shared by three callers, and the layered DST
+reduction.
 
 star_frontiers is the Dreyfus-Wagner subset DP over (vertex, terminal
 subset) with a (height, cost) label in place of a scalar: per cell it keeps
@@ -11,6 +12,10 @@ no greater height at its vertex.  solve_slst runs it with unit lengths and
 exact integer costs and reads the cheapest tree of height at most L;
 approx.build_height_table runs it with scaled costs and a cost cap.  Both
 pass the star root, so a label at v is kept only up to L - d(root, v).
+approx.min_dist and approx_const run it from one terminal, the path's
+source, with the criteria swapped (heights are scaled costs held to the
+level budget, costs are lengths), so each vertex's last label is its
+shortest path at the least scaled cost.
 
 The paper's exact algorithm reduces unit-length stars to a directed Steiner
 tree on an (L+1)-layered digraph: layer i holds a copy v(i) of every
@@ -218,9 +223,9 @@ def star_frontiers(
 
     Bit i of a mask stands for terminals[i]; a vertex's own bit is never in
     its key, since a tree rooted at a terminal reaches it for free.  Each
-    frontier has heights rising and costs strictly falling.  lengths are
-    positive ints, costs non-negative ints; trees higher than L or dearer
-    than cap (when given) are pruned.
+    frontier has heights rising and costs strictly falling.  lengths and
+    costs are non-negative ints, and no edge has both at zero; trees
+    higher than L or dearer than cap (when given) are pruned.
 
     With a root, a tree at v is also pruned above its slack
     L - d(root, v), d the shortest length from root; a vertex the root

@@ -8,7 +8,6 @@ from slsn.approx import (
     CostBounds,
     HeightTable,
     ScaledCosts,
-    _MinDistTable,
     approx_const,
     approx_star,
     build_height_table,
@@ -50,15 +49,16 @@ def certified_best_length(graph, s, t, eps, C):
 
 
 def dense_min_dist_table(graph, source, scaled, budget, lengths):
-    """The scaled-cost DP as a dense sweep, the reference for _MinDistTable:
-    {target: (best, path)} for every vertex.
+    """The scaled-cost DP as a dense sweep, the reference for star_frontiers
+    run from one terminal with its criteria swapped: {target: best} for
+    every vertex.
 
     Row i holds d(v, i), the least length of a source-v walk of exact
     scaled cost i, for every level up to the budget (capped at
-    (n-1)*max_c).  Level i sweeps the arcs of scaled cost 1..i in arc
-    order with a strict <, then relaxes the zero-cost arcs to a fixpoint.
-    best is the least length over all levels, ties to the lowest level;
-    path walks the parents back from it.
+    (n-1)*max_c, since no simple path costs more).  Level i sweeps the arcs
+    of scaled cost 1..i, then relaxes the zero-cost arcs to a fixpoint.
+    best is (level, length) at the least length over all levels, ties to
+    the lowest level, or None where no level reaches the target.
     """
     n = graph.vertex_count
     budget = min(budget, max(n - 1, 0) * max(scaled, default=0))
@@ -66,7 +66,7 @@ def dense_min_dist_table(graph, source, scaled, budget, lengths):
     for idx, e in enumerate(graph.edges):
         arcs += [(e.u, e.v, idx), (e.v, e.u, idx)]
     zero_arcs = [(a, b, idx) for a, b, idx in arcs if scaled[idx] == 0]
-    levels, parent = [], {}
+    levels = []
     for i in range(budget + 1):
         row = [None] * n
         if i == 0:
@@ -77,7 +77,6 @@ def dense_min_dist_table(graph, source, scaled, budget, lengths):
                 nl = levels[i - c][a] + lengths[idx]
                 if row[b] is None or nl < row[b]:
                     row[b] = nl
-                    parent[(i, b)] = (a, idx, i - c)
         changed = True
         while changed:
             changed = False
@@ -86,7 +85,6 @@ def dense_min_dist_table(graph, source, scaled, budget, lengths):
                     nl = row[a] + lengths[idx]
                     if row[b] is None or nl < row[b]:
                         row[b] = nl
-                        parent[(i, b)] = (a, idx, i)
                         changed = True
         levels.append(row)
 
@@ -96,17 +94,19 @@ def dense_min_dist_table(graph, source, scaled, budget, lengths):
         for i, row in enumerate(levels):
             if row[target] is not None and (best is None or row[target] < best[1]):
                 best = (i, row[target])
-        path = None
-        if best is not None:
-            i, w = best[0], target
-            vertices, edge_seq = [target], []
-            while w != source or i != 0:
-                w, idx, i = parent[(i, w)]
-                vertices.append(w)
-                edge_seq.append(idx)
-            path = Path.from_edge_sequence(graph, vertices[::-1], edge_seq[::-1])
-        out[target] = (best, path)
+        out[target] = best
     return out
+
+
+def chain_path(graph, target, label):
+    """The path an edge-chain label describes, from its leaf to target."""
+    vertices, edge_seq = [target], []
+    while label.prov[0] == "edge":
+        _, idx, label = label.prov
+        e = graph.edges[idx]
+        vertices.append(e.u if e.v == vertices[-1] else e.v)
+        edge_seq.append(idx)
+    return Path.from_edge_sequence(graph, vertices[::-1], edge_seq[::-1])
 
 
 def fixpoint_frontiers(graph, terminals, lengths, costs, L, cap=None):
@@ -115,7 +115,8 @@ def fixpoint_frontiers(graph, terminals, lengths, costs, L, cap=None):
 
     Each mask's split candidates are merged first; then every edge is
     relaxed, re-sorting the Pareto list at each merge, until no list
-    changes.  Positive lengths force termination.
+    changes.  Every edge has a positive length or cost, which forces
+    termination.
     """
 
     def pareto(points):
@@ -184,6 +185,22 @@ def replay(label, lengths, costs):
 
 
 class TestStarFrontiers:
+    @staticmethod
+    def check(g, terminals, lengths, costs, L):
+        """star_frontiers against the fixpoint reference, with and without a
+        cap, each label replayed from its provenance; returns the labels
+        compared outside the leaf cells."""
+        cells = 0
+        for cap in (None, sum(costs) // 2):
+            got = star_frontiers(g, terminals, lengths, costs, L, cap)
+            ref = fixpoint_frontiers(g, terminals, lengths, costs, L, cap)
+            assert {k: [(x.height, x.cost) for x in row] for k, row in got.items()} == ref
+            for (_, mask), row in got.items():
+                for label in row:
+                    assert replay(label, lengths, costs) == (label.height, label.cost)
+                cells += len(row) if mask else 0
+        return cells
+
     def test_matches_fixpoint_reference(self):
         # rational lengths, zero-cost edges and costs 0..3 make ties common
         rng = random.Random(808)
@@ -192,16 +209,22 @@ class TestStarFrontiers:
             g = inst.graph
             _, terminals = star_terminals(inst)
             D = math.lcm(inst.L.denominator, g.length_denominator)
-            L = int(inst.L * D)
             lengths = [x * (D // g.length_denominator) for x in g.int_lengths]
-            costs = [int(e.cost) for e in g.edges]
-            for cap in (None, sum(costs) // 2):
-                got = star_frontiers(g, terminals, lengths, costs, L, cap)
-                ref = fixpoint_frontiers(g, terminals, lengths, costs, L, cap)
-                assert {k: [(x.height, x.cost) for x in row] for k, row in got.items()} == ref
-                for row in got.values():
-                    for label in row:
-                        assert replay(label, lengths, costs) == (label.height, label.cost)
+            self.check(g, terminals, lengths, [int(e.cost) for e in g.edges], int(inst.L * D))
+
+    def test_zero_lengths_match_fixpoint_reference(self):
+        # min_dist passes scaled costs as lengths, and a zero-cost edge
+        # scales to 0: zero lengths are allowed where the cost is positive
+        rng = random.Random(809)
+        cells = 0
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            g = WeightedGraph(n, [(*rng.sample(range(n), 2), 1, 1) for _ in range(rng.randint(1, 2 * n))])
+            lengths = [rng.choice((0, 0, 1, 2)) for _ in g.edges]
+            costs = [rng.randint(1, 3) for _ in g.edges]
+            terminals = tuple(rng.sample(range(n), rng.randint(1, min(3, n))))
+            cells += self.check(g, terminals, lengths, costs, rng.randint(0, 4))
+        assert cells >= 4000
 
 
 class TestOptLow:
@@ -291,9 +314,18 @@ class TestMinDist:
         assert checked >= 40
 
 
+    def test_endpoints_outside_the_graph_refused(self):
+        g = WeightedGraph(3, [(0, 1, 1, 1), (1, 2, 1, 1)])
+        for s, t in ((0, 5), (-1, 2), (3, 3)):
+            with pytest.raises(ValueError):
+                min_dist(g, s, t, Fraction(1, 4), Fraction(4))
+        assert min_dist(g, 1, 1, Fraction(1, 4), Fraction(4)) == Path.trivial(1)
+
     def test_matches_dense_reference(self):
-        # small integer lengths, parallel edges and zero-cost arcs make ties
-        # common; scaled values run past the budget
+        # star_frontiers from the source alone, heights = scaled costs and
+        # costs = lengths: its last label per target is the dense sweep's
+        # best.  Small integer lengths, parallel edges and zero-cost arcs
+        # make ties common; scaled values run past the budget
         rng = random.Random(507)
         tables = 0
         for _ in range(700):
@@ -309,10 +341,22 @@ class TestMinDist:
                     0 if rng.random() < 0.2 else rng.randint(1, budget + 2) for _ in edges
                 )
                 s = rng.randrange(n)
-                table = _MinDistTable(g, s, _MinDistTable.arcs(g, scaled, budget))
+                table = star_frontiers(g, (s,), scaled, lengths, budget)
                 ref = dense_min_dist_table(g, s, scaled, budget, lengths)
+                assert ref[s] == (0, 0)
                 for t in range(n):
-                    assert (table.best(t), table.path(t)) == ref[t]
+                    if t == s:
+                        continue
+                    frontier = table[(t, 1)]
+                    if not frontier:
+                        assert ref[t] is None
+                        continue
+                    label = frontier[-1]
+                    assert (label.height, label.cost) == ref[t]
+                    path = chain_path(g, t, label)
+                    assert (path.vertices[0], path.vertices[-1]) == (s, t)
+                    assert sum(scaled[idx] for idx in path.edges) == label.height
+                    assert sum(lengths[idx] for idx in path.edges) == label.cost
                 tables += 1
         assert tables >= 2000
 
@@ -331,11 +375,9 @@ class TestMinDist:
             clamped = tuple(min(c, budget + 1) for c in raw)
             clamped_trials += clamped != raw
             for s in range(g.vertex_count):
-                full = _MinDistTable(g, s, _MinDistTable.arcs(g, raw, budget))
-                cut = _MinDistTable(g, s, _MinDistTable.arcs(g, clamped, budget))
-                for t in range(g.vertex_count):
-                    assert cut.best(t) == full.best(t)
-                    assert cut.path(t) == full.path(t)
+                full = star_frontiers(g, (s,), raw, g.int_lengths, budget)
+                cut = star_frontiers(g, (s,), clamped, g.int_lengths, budget)
+                assert cut == full
         assert clamped_trials >= 20
 
 
