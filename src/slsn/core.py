@@ -405,23 +405,28 @@ def feasibility_check(instance: SlsnInstance, edge_subset: Iterable[int]) -> Fea
     return FeasibilityReport(tuple(statuses))
 
 
-def hop_bounded_path(
-    graph: WeightedGraph, u: int, v: int, hop_bound: int, weight: Sequence[int]
-) -> Optional[Path]:
-    """Minimum-weight u-v path with at most hop_bound edges, or None.
+HopLevels = tuple[list[list[Optional[int]]], dict[tuple[int, int], tuple[int, int]]]
 
-    Bellman-Ford over hop counts with nonnegative integer weights indexed
-    by edge (one of the graph's integer views).  Deterministic: edges are
-    relaxed in index order and only strict improvements are kept, so
-    parent chains can never revisit a vertex.  The bound is clamped to
-    n-1, the most edges a simple path can have.
+
+def hop_levels(graph: WeightedGraph, u: int, hop_bound: int, weight: Sequence[int]) -> HopLevels:
+    """Bellman-Ford levels from u over at most hop_bound edges: (levels, parent).
+
+    levels[h][w] is the least weight of a u-w walk with at most h edges
+    (None if none), for nonnegative integer weights indexed by edge (one
+    of the graph's integer views); parent[(h, w)] = (prev, edge) records
+    the last strict improvement of w at level h.  Edges are relaxed in
+    index order and only strict improvements are kept, so parent chains
+    can never revisit a vertex.  The bound is clamped to n-1, the most
+    edges a simple path can have, and the levels stop early at the first
+    one that changes nothing.  Levels 0..h and their parent entries do not
+    depend on the bound, so one table at the largest bound answers every
+    smaller one (see ``hop_levels_path``).
     """
     n = graph.vertex_count
     hop_bound = min(hop_bound, max(n - 1, 0))
-    # levels[h][w] = min weight over u-w walks with at most h edges
     levels: list[list[Optional[int]]] = [[None] * n]
     levels[0][u] = 0
-    parent: dict[tuple[int, int], tuple[int, int]] = {}  # (h, w) -> (prev, edge)
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
     for h in range(1, hop_bound + 1):
         prev = levels[-1]
         cur = list(prev)
@@ -435,11 +440,26 @@ def hop_bounded_path(
         if cur == prev:
             break
         levels.append(cur)
-    if levels[-1][v] is None:
+    return levels, parent
+
+
+def hop_levels_path(
+    graph: WeightedGraph, table: HopLevels, v: int, hop_bound: int
+) -> Optional[Path]:
+    """The minimum-weight path to v with at most hop_bound edges that a
+    ``hop_levels`` table of the path's source holds, or None.
+
+    Equal to ``hop_bounded_path`` at that bound whenever the table was
+    built with a bound at least as large: the walk starts at level
+    min(hop_bound, last level), which is where that call's own levels end
+    (a bound below 0 reads level 0).
+    """
+    levels, parent = table
+    h = min(max(hop_bound, 0), len(levels) - 1)
+    if levels[h][v] is None:
         return None
     # Walk back through levels: a missing parent entry means the value was
     # carried over from the previous level unchanged.
-    h = len(levels) - 1
     w = v
     vertices = [v]
     edge_seq: list[int] = []
@@ -453,6 +473,18 @@ def hop_bounded_path(
     vertices.reverse()
     edge_seq.reverse()
     return Path.from_edge_sequence(graph, vertices, edge_seq)
+
+
+def hop_bounded_path(
+    graph: WeightedGraph, u: int, v: int, hop_bound: int, weight: Sequence[int]
+) -> Optional[Path]:
+    """Minimum-weight u-v path with at most hop_bound edges, or None.
+
+    The one hop-bounded path kernel: the ``hop_levels`` table from u at
+    hop_bound, walked back from v by ``hop_levels_path``.  Callers that
+    ask one source for many targets or bounds build the table once.
+    """
+    return hop_levels_path(graph, hop_levels(graph, u, hop_bound, weight), v, hop_bound)
 
 
 def restricted_min_cost_path(

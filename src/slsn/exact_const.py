@@ -20,8 +20,10 @@ which sequences are admissible: their consecutive shortest lengths must sum
 to at most L.  It is applied to each prefix closed by the demand's target,
 which is exact: by the triangle inequality an extension never sums to less
 than its prefix.  Chains whose segments admit no path within budget are
-skipped, as are combinations with a non-terminal intermediate used by fewer
-than two demands (junctions are shared by definition); neither skip can
+skipped, and combinations with a non-terminal intermediate used by fewer
+than two demands (junctions are shared by definition) are never formed: the
+last demand's chains are indexed by their non-terminal intermediates, and
+only the groups that complete the rule are walked.  Neither skip can
 remove the optimal guess.  All surviving unions are feasibility-checked and
 costed exactly, so the returned cost equals the optimum whenever the
 optimal guess is enumerated, which the decomposition above guarantees.
@@ -30,13 +32,16 @@ One search serves all three constant-demand solvers: _enumerate_chains
 walks the admissible junction sequences from an explicit stack and asks a
 per-solver guess function for the segment guesses of each;
 _search_best_union joins the chains depth-first over a stack of per-demand
-chain iterators, and _solve_by_chains runs both and returns Solution.build
-of the best union, with its canonical witness paths.  No function of the
-search refers to itself through a closure, so a solve leaves no reference
-cycle behind.  Both exact variants run _solve_by_budgets, which guesses
-budgets through _budget_guesses: the module-level generator _split_slack
-splits the slack and a functools.cache resolves each segment once; the
-variants differ only in the segment path a budget resolves to.
+chain iterators, the last one over the junction groups that fit
+(_fitting_chains), and _solve_by_chains runs both and returns
+Solution.build of the best union, with its canonical witness paths.  No
+function of the search refers to itself through a closure, so a solve
+leaves no reference cycle behind.  Both exact variants run
+_solve_by_budgets, which guesses budgets through _budget_guesses: the
+module-level generator _split_slack splits the slack and a functools.cache
+resolves each segment once, by walking one core.hop_levels table per
+segment source, built once per solve at its largest budget; the variants
+differ only in the weight the table minimises (costs or lengths).
 approx.approx_const guesses min-dist paths.  The search adds and compares
 only the graph's integer view: chain and union costs are ints over the cost
 denominator, distance tables ints over the length denominator, and L is
@@ -50,10 +55,11 @@ cost can be abandoned, since union cost only grows).
 from __future__ import annotations
 
 import functools
+import heapq
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Path,
@@ -64,7 +70,8 @@ from .core import (
     dijkstra,
     feasibility_check,
     hop_bounded_path,
-    restricted_min_cost_path,
+    hop_levels,
+    hop_levels_path,
 )
 
 
@@ -111,6 +118,11 @@ class _Chain:
     edges: frozenset[int]  # union of the segment paths
     cost: int  # over graph.cost_denominator
     intermediates: frozenset[int]
+
+
+def _chain_order(chain: _Chain) -> tuple:
+    """The order of every chain list: cost, then sequence, then guesses."""
+    return chain.cost, chain.sequence, chain.items
 
 
 # A segment guess: ((u, v) sorted, guessed budget or option) plus its path edges.
@@ -166,7 +178,7 @@ def _enumerate_chains(
             rest = lengths[w][t]  # prefix[-1] reaches t, so row[w] exists with rest
             if rest is not None and w not in prefix and total + row[w] + rest <= cap:
                 stack.append(((*prefix, w), total + row[w]))
-    chains.sort(key=lambda c: (c.cost, c.sequence, c.items))
+    chains.sort(key=_chain_order)
     return chains
 
 
@@ -215,6 +227,28 @@ def _budget_guesses(
     return guesses
 
 
+def _fitting_chains(
+    groups: dict[frozenset[int], list[_Chain]], junctions: list[frozenset[int]]
+) -> Iterator[_Chain]:
+    """The last demand's chains that complete the junction rule, in list order.
+
+    groups holds the last demand's chains by their non-terminal
+    intermediates K, each group in list order; junctions holds the same
+    set of each earlier chain.  Every non-terminal intermediate must lie
+    on at least two chains, so K must hold each vertex that exactly one
+    earlier chain uses (once) and nothing that none uses (seen):
+    once <= K <= seen.  When once == seen (always for p <= 2) only K ==
+    once fits; otherwise the fitting groups are merged on the list order,
+    and a merge of sub-lists of a sorted list keeps that list's order.
+    """
+    counts = Counter(w for k in junctions for w in k)
+    seen = frozenset(counts)
+    once = frozenset(w for w, c in counts.items() if c == 1)
+    if once == seen:
+        return iter(groups.get(once, ()))
+    return heapq.merge(*(g for k, g in groups.items() if once <= k <= seen), key=_chain_order)
+
+
 def _search_best_union(
     instance: SlsnInstance,
     chain_lists: list[list[_Chain]],
@@ -230,19 +264,29 @@ def _search_best_union(
     each of its chains), and a partial union that reaches it is skipped.
     Chains that guess another budget for a pair already guessed are
     skipped.  Combinations where some non-terminal intermediate appears in
-    a single chain are skipped: a junction is by definition shared between
-    two paths, so the optimal canonical guess never needs one.
+    a single chain are never visited: a junction is by definition shared
+    between two paths, so the optimal canonical guess never needs one.
+    The last demand's chains are grouped once by their non-terminal
+    intermediates, and the last level walks only the groups that fit the
+    chosen chains (_fitting_chains), in list order, so the walk is the
+    full walk with the skipped chains left out.
     """
     terminals = instance.demands.vertices()
     edge_cost = instance.graph.int_costs
+    last = len(chain_lists) - 1
+    groups: dict[frozenset[int], list[_Chain]] = {}
+    for chain in chain_lists[last]:
+        groups.setdefault(chain.intermediates - terminals, []).append(chain)
     best_cost: Optional[int] = None
     best_edges: Optional[frozenset[int]] = None
-    # (chains left for the next demand, guessed budgets, intermediates per
-    # chosen chain, union, union cost) for each prefix of chosen chains
-    stack = [(iter(chain_lists[0]), {}, [], frozenset(), 0)]
+    # (chains left for the next demand, guessed budgets, non-terminal
+    # intermediates per chosen chain, union, union cost) for each prefix of
+    # chosen chains
+    first = iter(chain_lists[0]) if last else _fitting_chains(groups, [])
+    stack = [(first, {}, [], frozenset(), 0)]
     while stack:
         frame = stack[-1]
-        chains, budgets, inters, union, cost = frame
+        chains, budgets, junctions, union, cost = frame
         for chain in chains:
             if best_cost is not None and chain.cost >= best_cost:
                 break  # chains sorted by own cost; union cost dominates it
@@ -252,16 +296,17 @@ def _search_best_union(
             new_cost = cost + sum(edge_cost[e] for e in added)
             if best_cost is not None and new_cost >= best_cost:
                 continue
-            new_inters, new_union = inters + [chain.intermediates], union | added
-            if len(stack) < len(chain_lists):
-                new_budgets = budgets | dict(chain.items)
-                stack.append(
-                    (iter(chain_lists[len(stack)]), new_budgets, new_inters, new_union, new_cost)
+            new_union = union | added
+            depth = len(stack)
+            if depth <= last:
+                new_junctions = junctions + [chain.intermediates - terminals]
+                nxt = (
+                    iter(chain_lists[depth])
+                    if depth < last
+                    else _fitting_chains(groups, new_junctions)
                 )
+                stack.append((nxt, budgets | dict(chain.items), new_junctions, new_union, new_cost))
                 break  # descend; this frame resumes at its next chain
-            counts = Counter(w for s_ in new_inters for w in s_)
-            if any(n < 2 for w, n in counts.items() if w not in terminals):
-                continue  # junction used by one path only: never canonical
             # Explicit feasibility test, kept even for the unit-length
             # variant where honest chain construction already implies it.
             if feasibility_check(instance, new_union).feasible:
@@ -290,11 +335,12 @@ def _solve_by_chains(
     return None if union is None else Solution.build(instance, union)
 
 
-def _solve_by_budgets(
-    instance: SlsnInstance, seg_path: Callable[[int, int, int], Optional[Path]]
-) -> Optional[Solution]:
+def _solve_by_budgets(instance: SlsnInstance, weight: Sequence[int]) -> Optional[Solution]:
     """The exact solvers' chain search: one integer budget per segment,
-    resolved by seg_path(u, v, budget) (see _budget_guesses)."""
+    resolved to the least-weight path within that many edges.  Each
+    segment source gets one hop_levels table, built at the solve's largest
+    budget, and every (target, budget) query walks it (hop_levels_path),
+    which returns what hop_bounded_path would at that budget."""
     graph = instance.graph
     p = instance.demands.size
     if p < 1:
@@ -310,7 +356,9 @@ def _solve_by_budgets(
     budget = min(instance.length_cap, graph.vertex_count - 1)
     hops = hop_distances(graph)
     lengths = hops if graph.has_unit_lengths() else length_distances(graph)
-    return _solve_by_chains(instance, lengths, _budget_guesses(hops, budget, seg_path))
+    table = functools.cache(lambda u: hop_levels(graph, u, budget, weight))
+    guesses = _budget_guesses(hops, budget, lambda u, v, b: hop_levels_path(graph, table(u), v, b))
+    return _solve_by_chains(instance, lengths, guesses)
 
 
 def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:
@@ -318,9 +366,7 @@ def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:
     graph = instance.graph
     if not graph.has_unit_lengths():
         raise ValueError("solve_unit_length requires unit edge lengths")
-    return _solve_by_budgets(
-        instance, lambda u, v, budget: restricted_min_cost_path(graph, u, v, budget)
-    )
+    return _solve_by_budgets(instance, graph.int_costs)
 
 
 def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
@@ -330,9 +376,7 @@ def solve_unit_cost(instance: SlsnInstance) -> Optional[Solution]:
         raise ValueError("solve_unit_cost requires unit edge costs")
     if not graph.has_integer_lengths():
         raise ValueError("solve_unit_cost requires positive integer edge lengths")
-    solution = _solve_by_budgets(
-        instance, lambda u, v, budget: shortest_length_under_edge_budget(graph, u, v, budget)
-    )
+    solution = _solve_by_budgets(instance, graph.int_lengths)
     if solution is None and feasibility_check(instance, range(graph.edge_count)).feasible:
         raise AssertionError("feasible instance but no feasible union of chains")
     return solution

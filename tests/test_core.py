@@ -19,6 +19,8 @@ from slsn.core import (
     expand_to_unit,
     feasibility_check,
     hop_bounded_path,
+    hop_levels,
+    hop_levels_path,
     restricted_min_cost_path,
 )
 from slsn.oracle import brute_force_restricted_path
@@ -340,6 +342,31 @@ class TestHopBoundedPath:
                             assert hop_bounded_path(g, u, v, h, ints) == fraction_hop_bounded_path(
                                 g, u, v, h, fracs
                             )
+
+    def test_one_table_per_source_matches_the_kernel(self):
+        # one hop_levels table per source, built at a bound, walks to the
+        # very Path that hop_bounded_path returns for every target and
+        # every budget up to that bound, past the level where the
+        # relaxation stops changing too; parallel and zero-cost edges
+        # included, under both integer views
+        rng = random.Random(912)
+        parallel = zero_cost = stopped_early = 0
+        for _ in range(60):
+            g = tie_heavy_instance(rng)[0].graph
+            n = g.vertex_count
+            parallel += len({frozenset((e.u, e.v)) for e in g.edges}) < g.edge_count
+            zero_cost += 0 in g.int_costs
+            bound = rng.randint(0, n + 1)
+            for weight in (g.int_costs, g.int_lengths):
+                for u in range(n):
+                    table = hop_levels(g, u, bound, weight)
+                    stopped_early += len(table[0]) - 1 < min(bound, n - 1)
+                    for v in range(n):
+                        for h in range(bound + 1):
+                            assert hop_levels_path(g, table, v, h) == hop_bounded_path(
+                                g, u, v, h, weight
+                            )
+        assert parallel >= 40 and zero_cost >= 20 and stopped_early >= 150
 
 
 class TestExpandToUnit:

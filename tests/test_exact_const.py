@@ -17,10 +17,12 @@ from slsn.core import (
     feasibility_check,
 )
 from slsn.core import restricted_min_cost_path
+from slsn import exact_const
 from slsn.exact_const import (
     _budget_guesses,
     _Chain,
     _enumerate_chains,
+    _fitting_chains,
     _search_best_union,
     hop_distances,
     length_distances,
@@ -348,6 +350,47 @@ def _first_cheapest_union(instance, chain_lists):
     return best_union
 
 
+def _shared_spine_instance(rng):
+    """A p = 3 unit-length instance whose demands (a, b) and (c, d) can
+    share the spine w1-w2, while (e, f) can either join that spine through
+    e-w1 and w2-f or take the edge e-f, which costs exactly as much as those
+    two: the two last chains then add the same cost to the union but lie in
+    different junction groups ({w1, w2} and the empty set).  Up to three
+    random extra edges and L = 3 or 4 vary the rest."""
+    n = 8
+    a, b, c, d, e, f, w1, w2 = rng.sample(range(n), n)
+    edges = [(u, v, 1, rng.randint(1, 3)) for u, v in [(a, w1), (c, w1), (w1, w2), (w2, b), (w2, d)]]
+    ew, wf = rng.randint(1, 2), rng.randint(1, 2)
+    edges += [(e, w1, 1, ew), (w2, f, 1, wf), (e, f, 1, ew + wf)]
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, 1, rng.randint(1, 3)))
+    return make_instance(WeightedGraph(n, edges), rng.randint(3, 4), [(a, b), (c, d), (e, f)])
+
+
+def _cheapest_combinations(instance, chain_lists):
+    """Every combination that _first_cheapest_union admits at the least
+    cost, in itertools.product order, each with its union."""
+    terminals = instance.demands.vertices()
+    best_cost, best = None, []
+    for combo in itertools.product(*chain_lists):
+        budgets = {}
+        if any(budgets.setdefault(pair, b) != b for chain in combo for pair, b in chain.items):
+            continue
+        counts = Counter(w for chain in combo for w in chain.intermediates)
+        if any(k < 2 for w, k in counts.items() if w not in terminals):
+            continue
+        union = frozenset().union(*(chain.edges for chain in combo))
+        cost = sum(instance.graph.int_costs[e] for e in union)
+        if best_cost is not None and cost > best_cost:
+            continue
+        if feasibility_check(instance, union).feasible:
+            if best_cost is None or cost < best_cost:
+                best_cost, best = cost, []
+            best.append((combo, union))
+    return best
+
+
 class TestChainSearch:
     @pytest.mark.parametrize(
         "make, resolve",
@@ -374,6 +417,55 @@ class TestChainSearch:
             assert _search_best_union(inst, chain_lists) == _first_cheapest_union(inst, chain_lists)
             compared += 1
         assert compared >= 100
+
+    def test_last_level_merges_junction_groups_in_list_order(self):
+        # The last level walks only the chains whose junction group (their
+        # non-terminal intermediates) fits the chosen chains, merging the
+        # fitting groups back into list order.  On these p = 3 instances
+        # the walk for every pair of leading chains is exactly the last
+        # list filtered by the junction rule, and equally cheap feasible
+        # unions follow the same two chains with last chains from
+        # different groups, so the tie-break crosses groups.
+        rng = random.Random(1316)
+        merged = tied = 0
+        for _ in range(40):
+            inst = _shared_spine_instance(rng)
+            graph = inst.graph
+            hops = hop_distances(graph)
+            budget = min(inst.length_cap, graph.vertex_count - 1)
+            guesses = _budget_guesses(
+                hops, budget, lambda u, v, b: restricted_min_cost_path(graph, u, v, b)
+            )
+            chain_lists = [
+                _enumerate_chains(inst, s, t, hops, guesses) for s, t in inst.demands.pairs
+            ]
+            assert _search_best_union(inst, chain_lists) == _first_cheapest_union(inst, chain_lists)
+            terminals = inst.demands.vertices()
+            groups = {}
+            for chain in chain_lists[2]:
+                groups.setdefault(chain.intermediates - terminals, []).append(chain)
+            for first, second in itertools.product(chain_lists[0][:12], chain_lists[1][:12]):
+                lead = [chain.intermediates - terminals for chain in (first, second)]
+                fits = [
+                    chain
+                    for chain in chain_lists[2]
+                    if all(
+                        k >= 2
+                        for k in Counter(
+                            w for ks in (*lead, chain.intermediates - terminals) for w in ks
+                        ).values()
+                    )
+                ]
+                assert list(_fitting_chains(groups, lead)) == fits
+                merged += len({chain.intermediates - terminals for chain in fits}) > 1
+            by_lead = {}
+            for combo, union in _cheapest_combinations(inst, chain_lists):
+                by_lead.setdefault(combo[:2], set()).add((combo[2].intermediates - terminals, union))
+            tied += any(
+                len({k for k, _ in last}) > 1 and len({u for _, u in last}) > 1
+                for last in by_lead.values()
+            )
+        assert merged >= 1000 and tied >= 20
 
     def test_prefix_pruning_keeps_every_chain(self):
         rng = random.Random(1313)
@@ -417,6 +509,40 @@ class TestChainSearch:
             for L in (n, n + 3):
                 inst = SlsnInstance(base.graph, L, base.demands)
                 assert cost_of(solve(inst)) == cost_of(brute_force_slsn(inst))
+
+
+@pytest.mark.parametrize(
+    "solve, make", [(solve_unit_length, random_instance), (solve_unit_cost, random_unit_cost_instance)]
+)
+def test_one_hop_table_per_segment_source(monkeypatch, solve, make):
+    # A solve builds one hop_levels table per segment source and walks it
+    # once per (target, budget) key, where each key used to run its own
+    # Bellman-Ford pass.
+    built, walked = [], []
+
+    def levels(graph, u, hop_bound, weight, real=exact_const.hop_levels):
+        built.append(u)
+        return real(graph, u, hop_bound, weight)
+
+    def walk(graph, table, v, hop_bound, real=exact_const.hop_levels_path):
+        walked.append((table[0][0].index(0), v, hop_bound))  # level 0 is 0 at the source only
+        return real(graph, table, v, hop_bound)
+
+    monkeypatch.setattr(exact_const, "hop_levels", levels)
+    monkeypatch.setattr(exact_const, "hop_levels_path", walk)
+    rng = random.Random(1317)
+    builds = keys = 0
+    for _ in range(40):
+        inst = make(rng, n_max=6, m_max=9)
+        built.clear()
+        walked.clear()
+        solve(inst)
+        assert len(built) == len(set(built)) <= inst.graph.vertex_count
+        assert set(built) == {u for u, _, _ in walked}
+        assert len(walked) == len(set(walked))
+        builds += len(built)
+        keys += len(walked)
+    assert 2 * builds < keys
 
 
 def test_solvers_leave_no_reference_cycles():
