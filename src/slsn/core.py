@@ -24,16 +24,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or 'num/den' string to an exact Fraction."""
+    """Coerce an int, Fraction, or 'num/den' string to an exact Fraction.
+
+    Raises TypeError for anything else, bools included: a JSON ``true``
+    is not the number 1.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if value.isascii() and value.isdigit():
@@ -60,9 +64,12 @@ def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple([num * (denom // d) for num, d in ratios]), denom
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One undirected edge with exact positive length and nonnegative cost."""
+class Edge(NamedTuple):
+    """One undirected edge with exact positive length and nonnegative cost.
+
+    An immutable, hashable named tuple: graphs build one per edge, so it
+    must be cheap to create.
+    """
 
     u: int
     v: int
@@ -78,11 +85,15 @@ class WeightedGraph:
 
     Invariants enforced at construction: no self-loops, strictly positive
     lengths, nonnegative costs, endpoints within range.  Edge indices are
-    the position of each edge in the ``edges`` tuple.
+    the position of each edge in the ``edges`` tuple.  Each distinct string
+    token among the lengths and costs is converted to a Fraction once; every
+    edge is still checked.
 
     The integer view is fixed at construction: ``int_lengths[i]`` is edge
     i's length times ``length_denominator``, the lcm of all length
     denominators, and ``int_costs`` and ``cost_denominator`` likewise.
+    Code that builds its own edges and knows their integer view (see
+    ``expand_to_unit``) skips the checks through ``_from_checked``.
     """
 
     __slots__ = ("vertex_count", "edges", "labels", "int_lengths",
@@ -97,10 +108,20 @@ class WeightedGraph:
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         self.vertex_count = vertex_count
+        tokens: dict[str, Fraction] = {}
+
+        def fraction(value: RationalLike) -> Fraction:
+            if type(value) is str:
+                frac = tokens.get(value)
+                if frac is None:
+                    frac = tokens[value] = as_fraction(value)
+                return frac
+            return as_fraction(value)
+
         built = []
         for u, v, length, cost in edges:
-            length = as_fraction(length)
-            cost = as_fraction(cost)
+            length = fraction(length)
+            cost = fraction(cost)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge endpoint out of range: ({u},{v})")
             if u == v:
@@ -119,6 +140,27 @@ class WeightedGraph:
             self.labels = tuple(labels)
         self.int_lengths, self.length_denominator = _scaled([e.length for e in self.edges])
         self.int_costs, self.cost_denominator = _scaled([e.cost for e in self.edges])
+
+    @classmethod
+    def _from_checked(
+        cls,
+        vertex_count: int,
+        edges: tuple[Edge, ...],
+        labels: tuple[Optional[str], ...],
+        length_view: tuple[tuple[int, ...], int],
+        cost_view: tuple[tuple[int, ...], int],
+    ) -> "WeightedGraph":
+        """The graph the constructor would build, with nothing checked.
+
+        The caller guarantees the constructor's invariants for ``edges``,
+        one label per vertex, and that each view is what ``_scaled`` gives
+        for the edges' lengths and costs: (ints, common denominator).
+        """
+        graph = cls.__new__(cls)
+        graph.vertex_count, graph.edges, graph.labels = vertex_count, edges, labels
+        graph.int_lengths, graph.length_denominator = length_view
+        graph.int_costs, graph.cost_denominator = cost_view
+        return graph
 
     @property
     def edge_count(self) -> int:
@@ -318,8 +360,9 @@ def adjacency(
     dropped); ``weight`` is indexed by edge index.
     """
     adj: list[list[tuple[int, int, object]]] = [[] for _ in range(graph.vertex_count)]
+    m = graph.edge_count
     for idx in dict.fromkeys(edge_subset):
-        if not (0 <= idx < graph.edge_count):
+        if not (0 <= idx < m):
             raise ValueError(f"invalid edge index {idx}")
         e = graph.edges[idx]
         adj[e.u].append((e.v, idx, weight[idx]))
@@ -515,34 +558,41 @@ def expand_to_unit(graph: WeightedGraph) -> ExpansionResult:
     fresh interior vertices, numbered after the original vertices, whose
     ids are kept.  Each hop costs 1/k of the edge's cost, so every path
     keeps its cost.  Interior vertices are labeled "<u>~<v>#<hop>" from the
-    endpoint labels.
+    endpoint labels.  The hops are valid by construction, so the expanded
+    graph is built unchecked (``WeightedGraph._from_checked``): every hop
+    shares one Fraction(1) length and a length view of all 1s, and each
+    distinct (integer cost, k) pair divides its cost once.  The result
+    equals the public constructor's over the same hop tuples.
     """
     if not graph.has_integer_lengths():
         raise ValueError("expand_to_unit requires positive integer edge lengths")
     labels: list[Optional[str]] = list(graph.labels)
-    edges: list[tuple[int, int, Fraction, Fraction]] = []
+    edges: list[Edge] = []
     edge_map: list[tuple[int, ...]] = []
     next_vertex = graph.vertex_count
+    one = Fraction(1)
+    hop_costs: dict[tuple[int, int], Fraction] = {}
 
     def _lab(v: int) -> str:
         lab = graph.labels[v]
         return lab if lab is not None else str(v)
 
-    for e in graph.edges:
-        k = int(e.length)
-        hop_cost = e.cost / k
-        chain = [e.u]
-        for h in range(1, k):
-            labels.append(f"{_lab(e.u)}~{_lab(e.v)}#{h}")
-            chain.append(next_vertex)
-            next_vertex += 1
-        chain.append(e.v)
-        ids = []
-        for a, b in zip(chain, chain[1:]):
-            ids.append(len(edges))
-            edges.append((a, b, Fraction(1), hop_cost))
-        edge_map.append(tuple(ids))
-    expanded = WeightedGraph(next_vertex, edges, labels)
+    # with length denominator 1, int_lengths holds each edge's hop count k
+    for e, k, int_cost in zip(graph.edges, graph.int_lengths, graph.int_costs):
+        hop_cost = hop_costs.get((int_cost, k))
+        if hop_cost is None:
+            hop_cost = hop_costs[(int_cost, k)] = e.cost / k
+        stem = f"{_lab(e.u)}~{_lab(e.v)}#"
+        labels.extend(f"{stem}{h}" for h in range(1, k))
+        chain = [e.u, *range(next_vertex, next_vertex + k - 1), e.v]
+        next_vertex += k - 1
+        first = len(edges)
+        edges.extend(Edge(a, b, one, hop_cost) for a, b in zip(chain, chain[1:]))
+        edge_map.append(tuple(range(first, len(edges))))
+    expanded = WeightedGraph._from_checked(
+        next_vertex, tuple(edges), tuple(labels),
+        ((1,) * len(edges), 1), _scaled([e.cost for e in edges]),
+    )
     return ExpansionResult(expanded, tuple(edge_map))
 
 

@@ -8,6 +8,7 @@ import slsn.core
 from slsn.core import (
     DemandGraph,
     DemandStatus,
+    Edge,
     FeasibilityReport,
     Path,
     SlsnInstance,
@@ -169,6 +170,30 @@ class TestGraphModel:
         assert DemandGraph([(0, 1), (0, 2), (3, 0)]).star_root() == 0
         assert DemandGraph([(4, 7)]).star_root() == 4
         assert DemandGraph([(0, 1), (2, 3)]).star_root() is None
+
+
+    def test_token_memo_keeps_every_check(self):
+        # "1" and 1 are already converted when the later tokens arrive; a
+        # bool is no number (JSON true), so it is refused like 1.0
+        seen = [(0, 1, "1", "1"), (1, 2, 1, 1)]
+        for bad, error in (((0, 2, 1.0, "1"), TypeError), ((0, 2, "1", 1.0), TypeError),
+                           ((0, 2, True, "1"), TypeError), ((0, 2, "1", True), TypeError),
+                           ((0, 2, "0", "1"), ValueError), ((0, 2, "1", "-1"), ValueError),
+                           ((0, 2, "1/0", "1"), ValueError), ((0, 2, "1", "1/0"), ValueError)):
+            with pytest.raises(error):
+                WeightedGraph(3, seen + [bad])
+        g = WeightedGraph(3, seen + [(0, 2, "1", "3/2")])
+        assert [(e.length, e.cost) for e in g.edges] == [(1, 1), (1, 1), (1, Fraction(3, 2))]
+        assert all(type(x) is Fraction for e in g.edges for x in (e.length, e.cost))
+
+    def test_edge_is_an_immutable_hashable_value(self):
+        e = WeightedGraph(3, [(2, 0, "5/3", 4)]).edges[0]
+        assert e == Edge(2, 0, Fraction(5, 3), Fraction(4))
+        assert hash(e) == hash(Edge(2, 0, Fraction(5, 3), Fraction(4)))
+        assert e.other(2) == 0 and e.other(0) == 2
+        for field in ("u", "v", "length", "cost"):
+            with pytest.raises(AttributeError):
+                setattr(e, field, 1)
 
 
 class TestFeasibility:
@@ -416,6 +441,51 @@ class TestExpandToUnit:
                         a = brute_force_restricted_path(g, s, t, Fraction(D))
                         b = brute_force_restricted_path(res.graph, s, t, Fraction(D))
                         assert (a.cost if a else None) == (b.cost if b else None)
+
+
+    @staticmethod
+    def public_expansion(graph):
+        """expand_to_unit through the public, checking constructor: the
+        reference for the unchecked build."""
+        labels = list(graph.labels)
+        edges, edge_map = [], []
+        next_vertex = graph.vertex_count
+        lab = [x if x is not None else str(v) for v, x in enumerate(graph.labels)]
+        for e in graph.edges:
+            k = int(e.length)
+            chain = [e.u]
+            for h in range(1, k):
+                labels.append(f"{lab[e.u]}~{lab[e.v]}#{h}")
+                chain.append(next_vertex)
+                next_vertex += 1
+            chain.append(e.v)
+            edge_map.append(tuple(range(len(edges), len(edges) + k)))
+            edges.extend((a, b, Fraction(1), e.cost / k) for a, b in zip(chain, chain[1:]))
+        return WeightedGraph(next_vertex, edges, labels), tuple(edge_map)
+
+    def test_checked_build_equals_public_constructor(self, rng):
+        costs = [Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2), Fraction(7, 3),
+                 Fraction(5, 6), Fraction(12)]
+        for _ in range(400):
+            n = rng.randint(2, 9)
+            edges = []
+            for _ in range(rng.randint(0, 14)):
+                u, v = rng.sample(range(n), 2)
+                edges.append((u, v, rng.randint(1, 5), rng.choice(costs)))
+            labels = rng.choice([None, "partial", "full"])
+            if labels is not None:
+                labels = [f"v{v}" if labels == "full" or rng.random() < 0.5 else None
+                          for v in range(n)]
+            graph = WeightedGraph(n, edges, labels)
+            res = expand_to_unit(graph)
+            want, want_map = self.public_expansion(graph)
+            got = res.graph
+            assert got.vertex_count == want.vertex_count
+            assert got.edges == want.edges and got.labels == want.labels
+            assert all(type(x) is Fraction for e in got.edges for x in (e.length, e.cost))
+            assert (got.int_lengths, got.length_denominator) == (want.int_lengths, want.length_denominator)
+            assert (got.int_costs, got.cost_denominator) == (want.int_costs, want.cost_denominator)
+            assert res.edge_map == want_map
 
 
 class TestCanonicalPathAssignment:

@@ -77,6 +77,17 @@ def test_json_vertex_ids_must_be_integers(field, value):
         parse_instance(json.dumps(data))
 
 
+@pytest.mark.parametrize("field", ["len", "cost", "L"])
+def test_json_numbers_are_not_booleans(field):
+    data = json.loads(dump_instance_json(parse_instance(SAMPLE)))
+    if field == "L":
+        data["L"] = True
+    else:
+        data["edges"][0][field] = field == "len"
+    with pytest.raises(ValueError, match="malformed instance JSON"):
+        parse_instance(json.dumps(data))
+
+
 def test_mcc_round_trip():
     text = dump_mcc(3, [(0, 1), (1, 2)], {0: 1, 1: 2, 2: 3}, 3)
     n, edges, coloring, k = parse_mcc(text)
