@@ -13,14 +13,19 @@ Four pieces, used together:
     path.  If any s-t path has cost at most (1-2*eps)*C and length D, the
     returned path costs at most C and is no longer than D.  An edge scaled
     above the budget is never relaxed, so the labels only depend on the
-    costs clamped to budget + 1: approx_const runs the DP once per
-    distinct clamped vector and source, and most exponents of its grid
+    costs clamped to budget + 1, and most exponents of approx_const's grid
     clamp every edge.
   - approx_const: the constant-demand FPTAS.  It runs the exact solvers'
     chain search (exact_const._solve_by_chains), but each guessed subpath
     carries a guessed cost scale (1+eps')^{c'} * C rather than a hop
     budget, resolved through min_dist.  eps' = eps/4 internally, so the
-    overall ratio is (1+eps); feasibility is never relaxed.
+    overall ratio is (1+eps); feasibility is never relaxed.  A pair's
+    options are the distinct min_dist paths over the grid's distinct
+    clamped vectors, each elementwise no larger than the one before.  When
+    the pair has a unique shortest path that fits a vector's budget, the DP
+    returns that path for it and for every later vector, so the path is
+    taken as is; the DP runs (once per source and vector) only for the
+    vectors before, or for all of them when shortest paths tie.
   - approx_star: the star (1+eps) solver.  A Dreyfus-Wagner style program
     over (root vertex, terminal subset) computes, per scaled-cost budget,
     the smallest achievable tree height; the cheapest budget whose height
@@ -43,7 +48,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     Path,
@@ -91,13 +96,19 @@ def _zero_cost_edges(graph: WeightedGraph) -> set[int]:
 
 
 def _ceil_log(base: Fraction, x: Fraction) -> int:
-    """Smallest nonnegative integer c with base^c >= x (base > 1)."""
+    """Smallest nonnegative integer c with base^c >= x (base > 1).
+
+    base^c is held as the int pair (a^c, b^c), base = a/b, and compared
+    with x by cross-multiplying, so no step reduces a Fraction.
+    """
     if base <= 1:
         raise ValueError("base must exceed 1")
-    c = 0
-    power = Fraction(1)
-    while power < x:
-        power *= base
+    a, b = base.numerator, base.denominator
+    x = Fraction(x)
+    c, power_num, power_den = 0, 1, 1
+    while power_num * x.denominator < x.numerator * power_den:
+        power_num *= a
+        power_den *= b
         c += 1
     return c
 
@@ -180,6 +191,106 @@ def _exponent_range(n: int, eps: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
+def _clamped_vectors(
+    graph: WeightedGraph, eps: Fraction, C: Fraction, budget: int
+) -> list[tuple[int, ...]]:
+    """The distinct scaled-cost vectors over the exponent grid, in grid order.
+
+    Each is clamped to budget + 1: star_frontiers never relaxes an edge
+    whose height alone exceeds L = budget, so the clamp changes no label.
+    Exponent c' scales an integer cost c over D to ceil(c * num / den),
+    num / den = n / (eps (1+eps)^c' C D), so each step divides num / den by
+    1+eps = (a+b)/b.  The factor falls as the exponent rises, so each vector
+    is elementwise no larger than the one before.  While even the cheapest
+    positive edge scales above the budget every edge clamps, and once the
+    dearest scales to at most 1 every later vector is the same (1 per
+    positive cost), so only the exponents between are built.
+    """
+    n = graph.vertex_count
+    lo, hi = _exponent_range(n, eps)
+    a, b = eps.numerator, eps.denominator
+    costs = graph.int_costs
+    positive = [c for c in costs if c > 0]
+    least, greatest = min(positive, default=0), max(positive, default=0)
+    clamped = tuple(budget + 1 if c > 0 else 0 for c in costs)
+    vectors: dict[tuple[int, ...], None] = {}
+    # num / den = n b C.den (a+b)^-e / (a C.num D b^-e) at exponent e <= 0
+    num = n * b * C.denominator * (a + b) ** -lo
+    den = a * C.numerator * graph.cost_denominator * b ** -lo
+    for e in range(lo, hi + 1):
+        if least * num > budget * den:
+            vec = clamped
+        else:
+            vec = tuple(min(-(-c * num // den), budget + 1) for c in costs)
+        vectors.setdefault(vec, None)
+        if greatest * num <= den:
+            break
+        if e < 0:  # cancel a factor held since lo, keeping both ints short
+            num //= a + b
+            den //= b
+        else:
+            num *= b
+            den *= a + b
+    return list(vectors)
+
+
+def _min_dist_options(
+    graph: WeightedGraph, vectors: list[tuple[int, ...]], budget: int
+) -> Callable[[int, int], list[frozenset[int]]]:
+    """options(u, v): the distinct paths, as edge sets in first-seen order,
+    that the min-dist tables of the vectors (in order) find from u to v.
+
+    A table is one star_frontiers run from u, built only when a pair reads
+    it.  Lengths are positive, so a shortest walk is a simple path; when the
+    pair has exactly one, P*, and P* fits a vector's budget, that vector's
+    last label at v has P*'s length and so is P*, and P* fits every later,
+    elementwise smaller vector too.  The tables are read only before that
+    vector, or at every vector when shortest paths tie.
+    """
+    lengths = graph.int_lengths
+    adj = adjacency(graph, range(graph.edge_count), lengths)
+
+    @functools.cache
+    def table(source: int, k: int) -> dict[tuple[int, int], tuple[Label, ...]]:
+        return star_frontiers(graph, (source,), vectors[k], lengths, budget)
+
+    @functools.cache
+    def shortest(source: int) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+        """Per reachable vertex: its shortest paths from source counted up to
+        2, and its Dijkstra parent."""
+        dist, parent = dijkstra(adj, {source: 0})
+        ways = {source: 1}
+        for w, d in itertools.islice(dist.items(), 1, None):
+            # settled by rising distance and lengths are positive, so every
+            # tight predecessor is counted already
+            ways[w] = min(2, sum(ways[x] for x, _, ln in adj[w] if dist[x] + ln == d))
+        return ways, parent
+
+    @functools.cache
+    def options(u: int, v: int) -> list[frozenset[int]]:
+        ways, parent = shortest(u)
+        if v not in ways:
+            return []  # no u-v walk: every table's frontier at v is empty
+        only = None
+        if ways[v] == 1:
+            edges, w = set(), v
+            while w != u:
+                w, idx = parent[w]
+                edges.add(idx)
+            only = frozenset(edges)
+        found: dict[frozenset[int], None] = {}
+        for k, vec in enumerate(vectors):
+            if only is not None and sum(vec[idx] for idx in only) <= budget:
+                found.setdefault(only, None)
+                break  # the later vectors' answers are P* as well
+            frontier = table(u, k)[(v, 1)]
+            if frontier:
+                found.setdefault(frozenset(tree_edges(frontier[-1])), None)
+        return list(found)
+
+    return options
+
+
 def approx_const(
     instance: SlsnInstance, eps: Fraction, bounds: Optional[CostBounds] = _RUN_OPT_LOW
 ) -> Optional[Solution]:
@@ -208,50 +319,8 @@ def approx_const(
     if bounds.C == 0:
         return Solution.build(instance, _zero_cost_edges(graph))  # feasible at cost 0
     eps_i = eps / 4
-    n = graph.vertex_count
-    lo, hi = _exponent_range(n, eps_i)
-    budget = n * eps_i.denominator // eps_i.numerator
-
-    # Distinct scaled-cost vectors over the exponent grid, clamped to
-    # budget + 1: star_frontiers never relaxes an edge whose height alone
-    # exceeds L = budget, so the clamp changes no label.  Each vector is
-    # solved once per source, and per pair the distinct resulting paths
-    # become that pair's options.  Exponent c' scales an integer cost c
-    # over D to ceil(c * num / den), num / den = n / (eps' (1+eps')^c' C D),
-    # so each step divides num / den by 1+eps' = (a+b)/b.  The factor falls
-    # as the exponent rises: while even the cheapest positive edge scales
-    # above the budget every edge clamps, and once the dearest scales to at
-    # most 1 every later vector is the same (1 per positive cost), so only
-    # the exponents between are built.
-    a, b = eps_i.numerator, eps_i.denominator
-    costs = graph.int_costs
-    positive = [c for c in costs if c > 0]
-    least, greatest = min(positive, default=0), max(positive, default=0)
-    clamped = tuple(budget + 1 if c > 0 else 0 for c in costs)
-    vectors: dict[tuple[int, ...], None] = {}
-    factor = n / (eps_i * (1 + eps_i) ** lo * bounds.C * graph.cost_denominator)
-    num, den = factor.numerator, factor.denominator
-    for _ in range(lo, hi + 1):
-        if least * num > budget * den:
-            vec = clamped
-        else:
-            vec = tuple(min(-(-c * num // den), budget + 1) for c in costs)
-        vectors.setdefault(vec, None)
-        if greatest * num <= den:
-            break
-        num *= b
-        den *= a + b
-    lengths = graph.int_lengths
-
-    @functools.cache
-    def tables(source: int) -> list[dict[tuple[int, int], tuple[Label, ...]]]:
-        return [star_frontiers(graph, (source,), vec, lengths, budget) for vec in vectors]
-
-    @functools.cache
-    def options(u: int, v: int) -> list[frozenset[int]]:
-        """The distinct paths found for the pair, as edge sets."""
-        frontiers = (table[(v, 1)] for table in tables(u))
-        return list(dict.fromkeys(frozenset(tree_edges(f[-1])) for f in frontiers if f))
+    budget = graph.vertex_count * eps_i.denominator // eps_i.numerator
+    options = _min_dist_options(graph, _clamped_vectors(graph, eps_i, bounds.C, budget), budget)
 
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple]:
         per_seg = []

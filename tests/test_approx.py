@@ -1,9 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from slsn import approx
 from slsn.approx import (
     CostBounds,
     HeightTable,
@@ -25,7 +27,7 @@ from slsn.core import (
 from slsn.exact_const import length_distances, solve_unit_length
 from slsn.generators import random_instance
 from slsn.oracle import brute_force_restricted_path, brute_force_slsn
-from slsn.star_dst import solve_slst, star_frontiers, star_terminals
+from slsn.star_dst import solve_slst, star_frontiers, star_terminals, tree_edges
 
 from conftest import make_instance, scaled_instance, with_edges
 
@@ -451,6 +453,80 @@ class TestApproxConst:
         assert solved >= 15
 
 
+    def test_matches_full_scan_on_tied_lengths(self, monkeypatch):
+        # unit and 1..2 integer lengths, zero costs and parallel copies make
+        # tied shortest paths common; each pair's options and the solution
+        # must be those of the scan that reads every vector's table
+        rng = random.Random(1907)
+        compared = 0
+        for _ in range(150):
+            inst, eps = _tied_instance(rng)
+            g = inst.graph
+            bounds = opt_low(inst)
+            if bounds is not None and bounds.C > 0:
+                eps_i = eps / 4
+                budget = g.vertex_count * eps_i.denominator // eps_i.numerator
+                vectors = approx._clamped_vectors(g, eps_i, bounds.C, budget)
+                lazy = approx._min_dist_options(g, vectors, budget)
+                full = full_scan_options(g, vectors, budget)
+                for u in range(g.vertex_count):
+                    for v in range(u + 1, g.vertex_count):
+                        assert lazy(u, v) == full(u, v)
+                compared += 1
+            got = approx_const(inst, eps)
+            with monkeypatch.context() as m:
+                m.setattr(approx, "_min_dist_options", full_scan_options)
+                want = approx_const(inst, eps)
+            assert _cost_and_edges(got) == _cost_and_edges(want)
+        assert compared >= 90
+
+    @pytest.mark.parametrize(
+        "n, edges, cheapest",
+        [
+            # 4-cycle: 0-1-2 and 0-3-2 both have length 2, the latter cheaper
+            (4, [(0, 1, 1, 3), (1, 2, 1, 3), (2, 3, 1, 1), (3, 0, 1, 1)], {2, 3}),
+            # two parallel 0-1 edges of equal length, the second cheaper
+            (3, [(0, 1, 1, 5), (0, 1, 1, 1), (1, 2, 1, 2)], {1, 2}),
+        ],
+    )
+    def test_tied_shortest_paths_read_the_tables(self, monkeypatch, n, edges, cheapest):
+        # Dijkstra's parents give the dearer path; every table gives the cheaper
+        g = WeightedGraph(n, edges)
+        inst = make_instance(g, 2, [(0, 2)])
+        eps = Fraction(1, 4)
+        budget = n * 16  # n / (eps / 4)
+        vectors = approx._clamped_vectors(g, eps / 4, opt_low(inst).C, budget)
+        got = approx._min_dist_options(g, vectors, budget)(0, 2)
+        assert got == full_scan_options(g, vectors, budget)(0, 2) == [frozenset(cheapest)]
+        with monkeypatch.context() as m:
+            m.setattr(approx, "_min_dist_options", full_scan_options)
+            want = approx_const(inst, eps)
+        assert want.edge_subset == cheapest
+        assert _cost_and_edges(approx_const(inst, eps)) == _cost_and_edges(want)
+
+    def test_tables_built_only_below_the_shortest_path(self, monkeypatch):
+        # lengths 2^i give every path its own length, so every shortest path
+        # is unique and fewer tables are built than the full scan reads; on
+        # tied lengths the count never exceeds it
+        rng = random.Random(1908)
+        below = 0
+        for trial in range(60):
+            if trial % 2:
+                inst, eps = _tied_instance(rng)
+            else:
+                inst = random_instance(rng, n_max=8, m_max=12, cost_range=(1, 9))
+                g = inst.graph
+                edges = [(e.u, e.v, 2 ** i, e.cost) for i, e in enumerate(g.edges)]
+                inst = make_instance(WeightedGraph(g.vertex_count, edges), 2 ** g.edge_count, inst.demands.pairs)
+                eps = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)])
+            built, scanned = count_tables(monkeypatch, inst, eps)
+            assert built <= scanned
+            if trial % 2 == 0 and scanned:
+                assert built < scanned
+                below += 1
+        assert below >= 20
+
+
 class TestApproxStar:
     def test_star_of_direct_edges(self):
         g = WeightedGraph(4, [(0, 1, 1, 2), (0, 2, 1, 3), (0, 3, 1, 4)])
@@ -551,6 +627,66 @@ def assert_extra_edges_metamorphic(solver, inst, rng, eps=Fraction(1, 4)):
             assert feasibility_check(modified, got.edge_subset).feasible
             assert ref.total_cost <= got.total_cost <= (1 + eps) * ref.total_cost
     return ref is not None
+
+
+def full_scan_options(graph, vectors, budget):
+    """The min-dist options read from every vector's table for every pair:
+    the reference for approx._min_dist_options."""
+
+    @functools.cache
+    def tables(u):
+        return [star_frontiers(graph, (u,), vec, graph.int_lengths, budget) for vec in vectors]
+
+    def options(u, v):
+        frontiers = (table[(v, 1)] for table in tables(u))
+        return list(dict.fromkeys(frozenset(tree_edges(f[-1])) for f in frontiers if f))
+
+    return options
+
+
+def count_tables(monkeypatch, inst, eps):
+    """(star_frontiers calls of approx_const, sources its pairs read times
+    the distinct cost vectors): the calls the full scan would make."""
+    built, sources, sizes = [], set(), []
+    real_frontiers, real_options = approx.star_frontiers, approx._min_dist_options
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return real_frontiers(*args, **kwargs)
+
+    def recorded(graph, vectors, budget):
+        options = real_options(graph, vectors, budget)
+        sizes.append(len(vectors))
+
+        def read(u, v):
+            sources.add(u)
+            return options(u, v)
+
+        return read
+
+    with monkeypatch.context() as m:
+        m.setattr(approx, "star_frontiers", counted)
+        m.setattr(approx, "_min_dist_options", recorded)
+        approx_const(inst, eps)
+    return len(built), len(sources) * sum(sizes)
+
+
+def _tied_instance(rng):
+    """Unit or 1..2 integer lengths, costs 0..6 (zero-cost edges common),
+    p = 1..3, sometimes a parallel copy of an edge with its length and
+    another cost; and an eps among 1/10, 1/4, 1/2."""
+    inst = random_instance(
+        rng, n_max=7, m_max=11, cost_range=(0, 6), length_kind=rng.choice(["unit", "integer"]),
+        length_range=(1, 2), L_range=(2, 6),
+    )
+    if rng.random() < 0.4:
+        e = rng.choice(inst.graph.edges)
+        inst = with_edges(inst, [(e.u, e.v, e.length, rng.randint(0, 6))])
+    return inst, rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)])
+
+
+def _cost_and_edges(sol):
+    return None if sol is None else (sol.total_cost, sol.edge_subset)
 
 
 def _connected_unit_graph(rng, n, m):
@@ -682,3 +818,26 @@ class TestScaledCosts:
         sc = ScaledCosts.compute(g, Fraction(1, 4), Fraction(2))
         # ceil(n * c / (eps*C)) = ceil(2 * 7/3 / (1/2)) = ceil(28/3) = 10
         assert sc.values == (10,)
+
+
+class TestExponentRange:
+    def test_integer_ceil_log_matches_fraction_loop(self):
+        def fraction_ceil_log(base, x):
+            c, power = 0, Fraction(1)
+            while power < x:
+                power *= base
+                c += 1
+            return c
+
+        for eps in (Fraction(1, 40), Fraction(1, 16), Fraction(1, 10), Fraction(1, 8), Fraction(2, 9)):
+            base = 1 + eps
+            for n in range(1, 41):
+                xs = (Fraction(n * n), Fraction(n * n) / (1 - 2 * eps), (Fraction(n * n) / eps) ** 2)
+                for x in xs:
+                    assert approx._ceil_log(base, x) == fraction_ceil_log(base, x)
+                lo = -fraction_ceil_log(base, xs[2])
+                hi = max(fraction_ceil_log(base, xs[0]) + 3, fraction_ceil_log(base, xs[1]))
+                assert approx._exponent_range(n, eps) == (lo, hi)
+        assert approx._ceil_log(Fraction(3, 2), Fraction(1, 5)) == 0
+        with pytest.raises(ValueError):
+            approx._ceil_log(Fraction(1), Fraction(2))
