@@ -16,9 +16,9 @@ Four pieces, used together:
     costs clamped to budget + 1, and most exponents of approx_const's grid
     clamp every edge.
   - approx_const: the constant-demand FPTAS.  It runs the exact solvers'
-    chain search (exact_const._solve_by_chains), but each guessed subpath
-    carries a guessed cost scale (1+eps')^{c'} * C rather than a hop
-    budget, resolved through min_dist.  eps' = eps/4 internally, so the
+    chain search (exact_const._solve_by_chains) and guesses builder
+    (exact_const._option_guesses), but its options carry no hop budget:
+    each is the min_dist path at a guessed cost scale (1+eps')^{c'} * C.  eps' = eps/4 internally, so the
     overall ratio is (1+eps); feasibility is never relaxed.  A pair's
     options are the distinct min_dist paths over the grid's distinct
     clamped vectors, each elementwise no larger than the one before.  When
@@ -48,7 +48,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import (
     Path,
@@ -59,7 +59,7 @@ from .core import (
     dijkstra,
     feasibility_check,
 )
-from .exact_const import _solve_by_chains, length_distances
+from .exact_const import _option_guesses, _solve_by_chains, length_distances
 from .star_dst import Label, star_frontiers, star_terminals, tree_edges
 
 
@@ -321,17 +321,7 @@ def approx_const(
     eps_i = eps / 4
     budget = graph.vertex_count * eps_i.denominator // eps_i.numerator
     options = _min_dist_options(graph, _clamped_vectors(graph, eps_i, bounds.C, budget), budget)
-
-    def guesses(seq: tuple[int, ...]) -> Iterator[tuple]:
-        per_seg = []
-        for a, b in zip(seq, seq[1:]):
-            pair = (min(a, b), max(a, b))
-            opts = options(*pair)
-            if not opts:
-                return  # later pairs would only build more tables
-            per_seg.append([((pair, oid), edges) for oid, edges in enumerate(opts)])
-        yield from itertools.product(*per_seg)
-
+    guesses = _option_guesses(lambda u, v: list(enumerate(options(u, v))))
     return _solve_by_chains(instance, length_distances(graph), guesses)
 
 

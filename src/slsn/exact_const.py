@@ -15,34 +15,38 @@ decomposes at junction vertices into at most 2(p-1)+1 subpaths whose
 endpoints are junctions or terminals.  The solver therefore enumerates, per
 demand, a chain: an ordered sequence of at most 2(p-1) distinct
 intermediate vertices together with one budget per consecutive pair, with
-budgets consistent across demands for a shared pair.  One rule decides
-which sequences are admissible: their consecutive shortest lengths must sum
-to at most L.  It is applied to each prefix closed by the demand's target,
-which is exact: by the triangle inequality an extension never sums to less
-than its prefix.  Chains whose segments admit no path within budget are
-skipped, and combinations with a non-terminal intermediate used by fewer
-than two demands (junctions are shared by definition) are never formed: the
-last demand's chains are indexed by their non-terminal intermediates, and
-only the groups that complete the rule are walked.  Neither skip can
-remove the optimal guess.  All surviving unions are feasibility-checked and
-costed exactly, so the returned cost equals the optimum whenever the
-optimal guess is enumerated, which the decomposition above guarantees.
+budgets consistent across demands for a shared pair.  Only one budget per
+distinct path is guessed: a budget b is kept when the least-weight path
+within b edges has exactly b edges, since any other budget yields the path
+of the budget below and its chains only repeat a kept chain at larger
+budgets, which sorts after it.  A chain's budgets sum to at most
+min(L, n-1).  One rule decides which sequences are admissible: their
+consecutive shortest lengths must sum to at most L.  It is applied to each
+prefix closed by the demand's target, which is exact: by the triangle
+inequality an extension never sums to less than its prefix.  Combinations
+with a non-terminal intermediate used by fewer than two demands (junctions
+are shared by definition) are never formed: the last demand's chains are
+indexed by their non-terminal intermediates, and only the groups that
+complete the rule are walked.  No skip can remove the optimal guess.  All
+surviving unions are feasibility-checked and costed exactly, so the
+returned cost equals the optimum whenever the optimal guess is enumerated,
+which the decomposition above guarantees.
 
 One search serves all three constant-demand solvers: _enumerate_chains
 walks the admissible junction sequences from an explicit stack and asks a
-per-solver guess function for the segment guesses of each;
+guess function for the segment guesses of each; every solver builds it with
+_option_guesses from its per-pair options, and only the options differ.
 _search_best_union joins the chains depth-first over a stack of per-demand
 chain iterators, the last one over the junction groups that fit
 (_fitting_chains), and _solve_by_chains runs both and returns
 Solution.build of the best union, with its canonical witness paths.  No
 function of the search refers to itself through a closure, so a solve
 leaves no reference cycle behind.  Both exact variants run
-_solve_by_budgets, which guesses budgets through _budget_guesses: the
-module-level generator _split_slack splits the slack and a functools.cache
-resolves each segment once, by walking one core.hop_levels table per
-segment source, built once per solve at its largest budget; the variants
-differ only in the weight the table minimises (costs or lengths).
-approx.approx_const guesses min-dist paths.  The search adds and compares
+_solve_by_budgets, whose options (_hop_options) are a pair's distinct
+hop-bounded paths, read off one core.hop_levels table per segment source,
+built once per solve at its largest budget; the variants differ only in
+the weight the table minimises (costs or lengths).  approx.approx_const's
+options are its distinct min-dist paths.  The search adds and compares
 only the graph's integer view: chain and union costs are ints over the cost
 denominator, distance tables ints over the length denominator, and L is
 the instance's length_cap.
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -75,25 +80,15 @@ from .core import (
 )
 
 
-def _distance_table(graph: WeightedGraph, weight) -> list[list[Optional[int]]]:
-    """Shortest integer distances from every source, one Dijkstra per source."""
-    adj = adjacency(graph, range(graph.edge_count), weight)
+def length_distances(graph: WeightedGraph) -> list[list[Optional[int]]]:
+    """Shortest path lengths as ints over ``graph.length_denominator``,
+    ``table[source][v]`` (None if unreachable), one Dijkstra per source."""
+    adj = adjacency(graph, range(graph.edge_count), graph.int_lengths)
     table = []
     for source in range(graph.vertex_count):
         dist, _ = dijkstra(adj, {source: 0})
         table.append([dist.get(v) for v in range(graph.vertex_count)])
     return table
-
-
-def hop_distances(graph: WeightedGraph) -> list[list[Optional[int]]]:
-    """Hop counts, ``table[source][v]`` (None if unreachable)."""
-    return _distance_table(graph, [1] * graph.edge_count)
-
-
-def length_distances(graph: WeightedGraph) -> list[list[Optional[int]]]:
-    """Shortest path lengths as ints over ``graph.length_denominator``,
-    ``table[source][v]`` (None if unreachable)."""
-    return _distance_table(graph, graph.int_lengths)
 
 
 def shortest_length_under_edge_budget(
@@ -182,47 +177,29 @@ def _enumerate_chains(
     return chains
 
 
-def _split_slack(
-    hops: list[list[Optional[int]]],
-    resolve: Callable[[int, int, int], Optional[Path]],
-    pairs: tuple[tuple[int, int], ...],
-    slack: int,
-    done: tuple[_Guess, ...] = (),
-) -> Iterator[tuple[_Guess, ...]]:
-    """Every way to give each pair (u, v), u < v, a budget of its hop
-    distance plus a share of slack, appended to the guesses done; a budget
-    that resolve leaves without a path ends that branch."""
-    if not pairs:
-        yield done
-        return
-    (u, v), rest = pairs[0], pairs[1:]
-    lo = hops[u][v]
-    for budget in range(lo, lo + slack + 1):
-        path = resolve(u, v, budget)
-        if path is not None:
-            guess = (((u, v), budget), path.edges)
-            yield from _split_slack(hops, resolve, rest, slack - (budget - lo), (*done, guess))
-
-
-def _budget_guesses(
-    hops: list[list[Optional[int]]],
-    total_budget: int,
-    seg_path: Callable[[int, int, int], Optional[Path]],
+def _option_guesses(
+    options: Callable[[int, int], list[tuple[int, Iterable[int]]]],
+    budget: Optional[int] = None,
 ) -> Callable[[tuple[int, ...]], Iterator[tuple[_Guess, ...]]]:
-    """Guesses of one integer budget per segment, for ``_enumerate_chains``.
-
-    Each segment's budget is at least its hop distance and the budgets sum
-    to at most total_budget; a sequence whose hop distances already exceed
-    total_budget gets no guess.  seg_path(u, v, budget) resolves a segment;
-    it is called with u < v, once per key (functools.cache), and a budget
-    it leaves without a path ends that branch of _split_slack.  The
-    caller's chain search admits only sequences whose pairs are connected.
+    """Guesses for ``_enumerate_chains``: one of options(u, v), a (key, path
+    edges) pair, per consecutive pair (u, v), u < v, of a sequence, in
+    itertools.product order.  With a budget, the keys are the options'
+    budgets and must sum to at most it.  options is called pair by pair,
+    and a pair with none ends the sequence before later pairs are read,
+    since reading them may build tables.
     """
-    resolve = functools.cache(seg_path)
 
     def guesses(seq: tuple[int, ...]) -> Iterator[tuple[_Guess, ...]]:
-        pairs = tuple((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:]))
-        return _split_slack(hops, resolve, pairs, total_budget - sum(hops[u][v] for u, v in pairs))
+        per_seg = []
+        for a, b in zip(seq, seq[1:]):
+            pair = (min(a, b), max(a, b))
+            opts = options(*pair)
+            if not opts:
+                return
+            per_seg.append([((pair, key), edges) for key, edges in opts])
+        for guess in itertools.product(*per_seg):
+            if budget is None or sum(key for (_, key), _ in guess) <= budget:
+                yield guess
 
     return guesses
 
@@ -335,12 +312,34 @@ def _solve_by_chains(
     return None if union is None else Solution.build(instance, union)
 
 
+def _hop_options(
+    graph: WeightedGraph, budget: int, weight: Sequence[int]
+) -> Callable[[int, int], list[tuple[int, tuple[int, ...]]]]:
+    """options(u, v): the distinct least-weight u-v paths within budget
+    edges, as (b, path edges) by rising b.  Each source gets one hop_levels
+    table, built at budget; a path is kept at each level b that improves v
+    and walked back there (hop_levels_path).  It then has exactly b edges,
+    since one with fewer would sit in level b-1 at that weight, and b is
+    the least budget that yields it: a level that does not improve v walks
+    to the path of the level below."""
+    table = functools.cache(lambda u: hop_levels(graph, u, budget, weight))
+
+    @functools.cache
+    def options(u: int, v: int) -> list[tuple[int, tuple[int, ...]]]:
+        levels = table(u)[0]
+        return [
+            (b, hop_levels_path(graph, table(u), v, b).edges)
+            for b in range(1, len(levels))
+            if levels[b][v] != levels[b - 1][v]
+        ]
+
+    return options
+
+
 def _solve_by_budgets(instance: SlsnInstance, weight: Sequence[int]) -> Optional[Solution]:
-    """The exact solvers' chain search: one integer budget per segment,
-    resolved to the least-weight path within that many edges.  Each
-    segment source gets one hop_levels table, built at the solve's largest
-    budget, and every (target, budget) query walks it (hop_levels_path),
-    which returns what hop_bounded_path would at that budget."""
+    """The exact solvers' chain search: per segment, one of its pair's
+    distinct hop-bounded least-weight paths (_hop_options), keyed by its
+    edge count, with the counts summing to at most the solve's budget."""
     graph = instance.graph
     p = instance.demands.size
     if p < 1:
@@ -354,11 +353,8 @@ def _solve_by_budgets(instance: SlsnInstance, weight: Sequence[int]) -> Optional
     # simple paths use at most n-1 edges, and with integer lengths of at
     # least 1 a path within L uses at most floor(L)
     budget = min(instance.length_cap, graph.vertex_count - 1)
-    hops = hop_distances(graph)
-    lengths = hops if graph.has_unit_lengths() else length_distances(graph)
-    table = functools.cache(lambda u: hop_levels(graph, u, budget, weight))
-    guesses = _budget_guesses(hops, budget, lambda u, v, b: hop_levels_path(graph, table(u), v, b))
-    return _solve_by_chains(instance, lengths, guesses)
+    guesses = _option_guesses(_hop_options(graph, budget, weight), budget)
+    return _solve_by_chains(instance, length_distances(graph), guesses)
 
 
 def solve_unit_length(instance: SlsnInstance) -> Optional[Solution]:

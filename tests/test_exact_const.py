@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -12,19 +13,23 @@ from slsn.core import (
     DemandGraph,
     SlsnInstance,
     WeightedGraph,
+    adjacency,
     canonical_path_assignment,
+    dijkstra,
     expand_to_unit,
     feasibility_check,
+    hop_bounded_path,
 )
 from slsn.core import restricted_min_cost_path
 from slsn import exact_const
 from slsn.exact_const import (
-    _budget_guesses,
     _Chain,
     _enumerate_chains,
     _fitting_chains,
+    _hop_options,
+    _option_guesses,
     _search_best_union,
-    hop_distances,
+    _solve_by_chains,
     length_distances,
     shortest_length_under_edge_budget,
     solve_unit_cost,
@@ -310,6 +315,47 @@ def _beyond_oracle_instance(rng, length_and_cost):
     return make_instance(graph, rng.randint(1, 4), demands)
 
 
+def hop_distances(graph):
+    """Hop counts, table[source][v] (None if unreachable)."""
+    adj = adjacency(graph, range(graph.edge_count), [1] * graph.edge_count)
+    table = []
+    for source in range(graph.vertex_count):
+        dist, _ = dijkstra(adj, {source: 0})
+        table.append([dist.get(v) for v in range(graph.vertex_count)])
+    return table
+
+
+def _split_slack(hops, resolve, pairs, slack, done=()):
+    """Every way to give each pair (u, v), u < v, a budget of its hop
+    distance plus a share of slack, appended to the guesses done; a budget
+    that resolve leaves without a path ends that branch."""
+    if not pairs:
+        yield done
+        return
+    (u, v), rest = pairs[0], pairs[1:]
+    lo = hops[u][v]
+    for budget in range(lo, lo + slack + 1):
+        path = resolve(u, v, budget)
+        if path is not None:
+            guess = (((u, v), budget), path.edges)
+            yield from _split_slack(hops, resolve, rest, slack - (budget - lo), (*done, guess))
+
+
+def _budget_guesses(hops, total_budget, seg_path):
+    """Reference guess space of the exact solvers, unfiltered: every budget
+    per segment from its hop distance up, the budgets summing to at most
+    total_budget, each resolved by seg_path(u, v, budget) (cached).  Most
+    budgets resolve to the path of the budget below; the solvers keep one
+    budget per distinct path (_hop_options)."""
+    resolve = functools.cache(seg_path)
+
+    def guesses(seq):
+        pairs = tuple((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:]))
+        return _split_slack(hops, resolve, pairs, total_budget - sum(hops[u][v] for u, v in pairs))
+
+    return guesses
+
+
 def _unpruned_chains(instance, s, t, lengths, guesses):
     """Reference for _enumerate_chains: every sequence of up to 2(p-1)
     distinct intermediates, kept when its shortest lengths fit L."""
@@ -511,13 +557,115 @@ class TestChainSearch:
                 assert cost_of(solve(inst)) == cost_of(brute_force_slsn(inst))
 
 
+def _tie_heavy_instance(rng, unit_cost):
+    """n = 4..7 with many tied least-weight paths: unit lengths and costs
+    0..2, or unit costs and lengths 1..2, each edge doubled by a parallel
+    copy with probability 0.3; p = 1..3 demands and L = 1..n+1."""
+    n = rng.randint(4, 7)
+    edges = []
+    for _ in range(rng.randint(n, 2 * n + 2)):
+        u, v = rng.sample(range(n), 2)
+        edges += [(u, v, rng.randint(1, 2), 1) if unit_cost else (u, v, 1, rng.randint(0, 2))]
+        if rng.random() < 0.3:
+            edges.append(edges[-1])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_instance(WeightedGraph(n, edges), rng.randint(1, n + 1), rng.sample(pairs, rng.randint(1, 3)))
+
+
+def _reference_guesses(instance, weight):
+    """The unfiltered budget guesser at the solve's budget, each key
+    resolved by core.hop_bounded_path."""
+    graph = instance.graph
+    budget = min(instance.length_cap, graph.vertex_count - 1)
+    return _budget_guesses(
+        hop_distances(graph), budget, lambda u, v, b: hop_bounded_path(graph, u, v, b, weight)
+    )
+
+
+class TestHopOptions:
+    """The exact solvers keep one guess per distinct hop-bounded path, at
+    its edge count, out of the reference guesser's budgets."""
+
+    def test_options_are_the_reference_guessers_distinct_paths(self):
+        rng = random.Random(1318)
+        compared = 0
+        for trial in range(100):
+            graph = _tie_heavy_instance(rng, unit_cost=trial % 2 == 1).graph
+            n = graph.vertex_count
+            hops = hop_distances(graph)
+            for weight in (graph.int_costs, graph.int_lengths):
+                for cap in (rng.randint(0, n - 2), n - 1):
+                    options = _hop_options(graph, cap, weight)
+                    resolve = lambda u, v, b: hop_bounded_path(graph, u, v, b, weight)
+                    reference = _budget_guesses(hops, cap, resolve)
+                    for u, v in itertools.combinations(range(n), 2):
+                        if hops[u][v] is None:
+                            continue
+                        first = {}
+                        for (((_, b), edges),) in reference((u, v)):
+                            first.setdefault(edges, b)
+                        got = options(u, v)
+                        assert got == [(b, edges) for edges, b in first.items()]
+                        assert all(len(edges) == b for b, edges in got)
+                        compared += len(got) > 1
+        assert compared >= 100
+
+    @pytest.mark.parametrize("solve, unit_cost", [(solve_unit_length, False), (solve_unit_cost, True)])
+    def test_solvers_match_the_reference_search(self, solve, unit_cost):
+        rng = random.Random(1319)
+        solved = Counter()
+        for _ in range(440):
+            inst = _tie_heavy_instance(rng, unit_cost)
+            graph = inst.graph
+            weight = graph.int_lengths if unit_cost else graph.int_costs
+            ref = _solve_by_chains(inst, length_distances(graph), _reference_guesses(inst, weight))
+            mine = solve(inst)
+            assert (mine is None) == (ref is None)
+            if mine is not None:
+                assert (mine.total_cost, mine.edge_subset) == (ref.total_cost, ref.edge_subset)
+                solved[inst.demands.size] += 1
+        assert sum(solved.values()) >= 300 and min(solved[p] for p in (1, 2, 3)) >= 50
+
+    def test_chain_count_on_a_seeded_corpus(self):
+        rng = random.Random(1320)
+        kept = reference = 0
+        for trial in range(40):
+            unit_cost = trial % 2 == 1
+            inst = _tie_heavy_instance(rng, unit_cost)
+            graph = inst.graph
+            weight = graph.int_lengths if unit_cost else graph.int_costs
+            budget = min(inst.length_cap, graph.vertex_count - 1)
+            lengths = length_distances(graph)
+            mine = _option_guesses(_hop_options(graph, budget, weight), budget)
+            old = _reference_guesses(inst, weight)
+            for s, t in inst.demands.pairs:
+                kept += len(_enumerate_chains(inst, s, t, lengths, mine))
+                reference += len(_enumerate_chains(inst, s, t, lengths, old))
+        assert (kept, reference) == (474, 2292)
+
+    def test_guesses_fit_the_budget_and_stop_at_a_pair_without_options(self):
+        read = []
+
+        def options(u, v):
+            read.append((u, v))
+            return [] if (u, v) == (1, 2) else [(1, (u,)), (2, (v,))]
+
+        assert list(_option_guesses(options)((0, 2, 1, 3))) == []
+        assert read == [(0, 2), (1, 2)]  # (1, 3) would build a table for nothing
+        guesses = list(_option_guesses(options, 3)((0, 3, 4)))
+        assert [tuple(key for (_, key), _ in guess) for guess in guesses] == [(1, 1), (1, 2), (2, 1)]
+        assert guesses[1] == ((((0, 3), 1), (0,)), (((3, 4), 2), (4,)))
+
+
 @pytest.mark.parametrize(
-    "solve, make", [(solve_unit_length, random_instance), (solve_unit_cost, random_unit_cost_instance)]
+    "solve, make, tables, walks",
+    [(solve_unit_length, random_instance, 97, 227), (solve_unit_cost, random_unit_cost_instance, 67, 122)],
 )
-def test_one_hop_table_per_segment_source(monkeypatch, solve, make):
+def test_one_hop_table_per_segment_source(monkeypatch, solve, make, tables, walks):
     # A solve builds one hop_levels table per segment source and walks it
-    # once per (target, budget) key, where each key used to run its own
-    # Bellman-Ford pass.
+    # once per (target, level) option, where each (target, budget) key used
+    # to run its own Bellman-Ford pass.  An option is walked only at a level
+    # that improves its target, so the path has exactly that many edges.
     built, walked = [], []
 
     def levels(graph, u, hop_bound, weight, real=exact_const.hop_levels):
@@ -526,7 +674,9 @@ def test_one_hop_table_per_segment_source(monkeypatch, solve, make):
 
     def walk(graph, table, v, hop_bound, real=exact_const.hop_levels_path):
         walked.append((table[0][0].index(0), v, hop_bound))  # level 0 is 0 at the source only
-        return real(graph, table, v, hop_bound)
+        path = real(graph, table, v, hop_bound)
+        assert len(path.edges) == hop_bound
+        return path
 
     monkeypatch.setattr(exact_const, "hop_levels", levels)
     monkeypatch.setattr(exact_const, "hop_levels_path", walk)
@@ -542,7 +692,7 @@ def test_one_hop_table_per_segment_source(monkeypatch, solve, make):
         assert len(walked) == len(set(walked))
         builds += len(built)
         keys += len(walked)
-    assert 2 * builds < keys
+    assert (builds, keys) == (tables, walks)
 
 
 def test_solvers_leave_no_reference_cycles():
