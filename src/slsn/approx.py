@@ -18,8 +18,9 @@ Four pieces, used together:
   - approx_const: the constant-demand FPTAS.  It runs the exact solvers'
     chain search (exact_const._solve_by_chains) and guesses builder
     (exact_const._option_guesses), but its options carry no hop budget:
-    each is the min_dist path at a guessed cost scale (1+eps')^{c'} * C.  eps' = eps/4 internally, so the
-    overall ratio is (1+eps); feasibility is never relaxed.  A pair's
+    each is the min_dist path at a guessed cost scale (1+eps')^{c'} * C.
+    eps' = eps/4 internally, so the overall ratio is (1+eps); feasibility
+    is never relaxed.  A pair's
     options are the distinct min_dist paths over the grid's distinct
     clamped vectors, each elementwise no larger than the one before.  When
     the pair has a unique shortest path that fits a vector's budget, the DP

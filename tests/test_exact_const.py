@@ -658,10 +658,9 @@ class TestHopOptions:
 
 
 @pytest.mark.parametrize(
-    "solve, make, tables, walks",
-    [(solve_unit_length, random_instance, 97, 227), (solve_unit_cost, random_unit_cost_instance, 67, 122)],
+    "solve, make", [(solve_unit_length, random_instance), (solve_unit_cost, random_unit_cost_instance)]
 )
-def test_one_hop_table_per_segment_source(monkeypatch, solve, make, tables, walks):
+def test_one_hop_table_per_segment_source(monkeypatch, solve, make):
     # A solve builds one hop_levels table per segment source and walks it
     # once per (target, level) option, where each (target, budget) key used
     # to run its own Bellman-Ford pass.  An option is walked only at a level
@@ -692,7 +691,7 @@ def test_one_hop_table_per_segment_source(monkeypatch, solve, make, tables, walk
         assert len(walked) == len(set(walked))
         builds += len(built)
         keys += len(walked)
-    assert (builds, keys) == (tables, walks)
+    assert (builds, keys) == {solve_unit_length: (97, 227), solve_unit_cost: (67, 122)}[solve]
 
 
 def test_solvers_leave_no_reference_cycles():
