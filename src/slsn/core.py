@@ -486,6 +486,26 @@ def hop_levels(graph: WeightedGraph, u: int, hop_bound: int, weight: Sequence[in
     return levels, parent
 
 
+def hop_levels_walk(table: HopLevels, v: int, hop_bound: int) -> Optional[tuple[tuple, tuple]]:
+    """The (vertices, edges) of ``hop_levels_path``'s path, source first,
+    without building the Path, or None."""
+    levels, parent = table
+    h = min(max(hop_bound, 0), len(levels) - 1)
+    if levels[h][v] is None:
+        return None
+    # Walk back through levels: a missing parent entry means the value was
+    # carried over from the previous level unchanged.
+    w, vertices, edge_seq = v, [v], []
+    while h > 0:
+        if (h, w) in parent and levels[h][w] != levels[h - 1][w]:
+            a, idx = parent[(h, w)]
+            edge_seq.append(idx)
+            vertices.append(a)
+            w = a
+        h -= 1
+    return tuple(reversed(vertices)), tuple(reversed(edge_seq))
+
+
 def hop_levels_path(
     graph: WeightedGraph, table: HopLevels, v: int, hop_bound: int
 ) -> Optional[Path]:
@@ -497,25 +517,8 @@ def hop_levels_path(
     min(hop_bound, last level), which is where that call's own levels end
     (a bound below 0 reads level 0).
     """
-    levels, parent = table
-    h = min(max(hop_bound, 0), len(levels) - 1)
-    if levels[h][v] is None:
-        return None
-    # Walk back through levels: a missing parent entry means the value was
-    # carried over from the previous level unchanged.
-    w = v
-    vertices = [v]
-    edge_seq: list[int] = []
-    while h > 0:
-        if (h, w) in parent and levels[h][w] != levels[h - 1][w]:
-            a, idx = parent[(h, w)]
-            edge_seq.append(idx)
-            vertices.append(a)
-            w = a
-        h -= 1
-    vertices.reverse()
-    edge_seq.reverse()
-    return Path.from_edge_sequence(graph, vertices, edge_seq)
+    walk = hop_levels_walk(table, v, hop_bound)
+    return None if walk is None else Path.from_edge_sequence(graph, *walk)
 
 
 def hop_bounded_path(

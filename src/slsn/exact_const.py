@@ -76,7 +76,7 @@ from .core import (
     feasibility_check,
     hop_bounded_path,
     hop_levels,
-    hop_levels_path,
+    hop_levels_walk,
 )
 
 
@@ -318,7 +318,7 @@ def _hop_options(
     """options(u, v): the distinct least-weight u-v paths within budget
     edges, as (b, path edges) by rising b.  Each source gets one hop_levels
     table, built at budget; a path is kept at each level b that improves v
-    and walked back there (hop_levels_path).  It then has exactly b edges,
+    and walked back there (hop_levels_walk).  It then has exactly b edges,
     since one with fewer would sit in level b-1 at that weight, and b is
     the least budget that yields it: a level that does not improve v walks
     to the path of the level below."""
@@ -328,7 +328,7 @@ def _hop_options(
     def options(u: int, v: int) -> list[tuple[int, tuple[int, ...]]]:
         levels = table(u)[0]
         return [
-            (b, hop_levels_path(graph, table(u), v, b).edges)
+            (b, hop_levels_walk(table(u), v, b)[1])
             for b in range(1, len(levels))
             if levels[b][v] != levels[b - 1][v]
         ]

@@ -5,17 +5,17 @@ star_frontiers is the Dreyfus-Wagner subset DP over (vertex, terminal
 subset) with a (height, cost) label in place of a scalar: per cell it keeps
 the Pareto frontier of trees rooted at the vertex that reach the subset.
 Each subset is filled by one label-setting pass (Martins 1984) in the
-send-and-split form of Erickson, Monma and Veinott (1987): the splits of
-the subset at each vertex seed a heap, labels leave it in (height, cost)
-order, and a label is kept only if it is cheaper than every kept label of
-no greater height at its vertex.  solve_slst runs it with unit lengths and
-exact integer costs and reads the cheapest tree of height at most L;
-approx.build_height_table runs it with scaled costs and a cost cap.  Both
-pass the star root, so a label at v is kept only up to L - d(root, v).
-approx.min_dist and approx_const run it from one terminal, the path's
-source, with the criteria swapped (heights are scaled costs held to the
-level budget, costs are lengths), so each vertex's last label is its
-shortest path at the least scaled cost.
+send-and-split form of Erickson, Monma and Veinott (1987): the splits with
+both parts non-empty at a vertex seed a heap, less any seed dominated by
+another at its vertex; labels leave it in (height, cost) order, and one is
+kept only if cheaper than every kept label of no greater height at its
+vertex.  solve_slst runs it with unit lengths and exact integer costs and
+reads the cheapest tree of height at most L; approx.build_height_table runs
+it with scaled costs and a cost cap.  Both pass the star root, so a label
+at v is kept only up to L - d(root, v).  approx.min_dist and approx_const
+run it from one terminal, the path's source, with the criteria swapped
+(heights are scaled costs held to the level budget, costs are lengths), so
+each vertex's last label is its shortest path at the least scaled cost.
 
 The paper's exact algorithm reduces unit-length stars to a directed Steiner
 tree on an (L+1)-layered digraph: layer i holds a copy v(i) of every
@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     SlsnInstance,
@@ -210,6 +211,67 @@ class Label(NamedTuple):
     prov: tuple  # ("leaf",) | ("edge", edge_idx, child) | ("split", a, b)
 
 
+def _split_pairs(A: Sequence[Label], B: Sequence[Label]) -> list[tuple[Label, Label]]:
+    """The pairs (a, b) of a split that can win their vertex, in (index in
+    A, index in B) order.  Frontier heights rise strictly as costs fall, so
+    a pair with b no higher than a loses to a with B's last label no higher
+    than a (same height, less cost), and so with A and B swapped: walking
+    both by height, each step pairs the last labels passed, at most
+    |A| + |B| - 1 pairs."""
+    out, i, j, na, nb = [], 0, 0, len(A), len(B)
+    while i < na or j < nb:
+        a_next = j == nb or (i < na and A[i].height <= B[j].height)
+        b_next = i == na or (j < nb and B[j].height <= A[i].height)
+        i += a_next
+        j += b_next
+        if i and j:
+            out.append((A[i - 1], B[j - 1]))
+    return out
+
+
+def _split_seeds(
+    cells: list[dict], reach: list[int], mask: int, cap: Optional[int], order: Iterator[int]
+) -> list[tuple]:
+    """The heap that seeds mask: the pairs of each split (sub, mask ^ sub)
+    at each vertex v where both parts are non-empty (bit v of reach[sub];
+    the (v, sub) frontier is cells[sub][v]).  A vertex's pairs are swept in
+    (height, cost) order, ties in push order (sub descending, then
+    _split_pairs' order), and one no cheaper than an earlier one is
+    dropped: that one pops first and leaves v no dearer.  Survivors are
+    numbered by ascending vertex, as pushing every pair would, so every
+    pop, label and provenance is the same as with all pairs pushed."""
+    rest = mask ^ (1 << (mask.bit_length() - 1))  # sub < mask ^ sub: each split once
+    cands, sub = [], rest
+    while sub:
+        other = mask ^ sub
+        both = reach[sub] & reach[other]
+        left, right = cells[sub], cells[other]
+        while both:
+            low = both & -both
+            both ^= low
+            v = low.bit_length() - 1
+            A, B = left[v], right[v]
+            if len(A) == len(B) == 1:  # most splits
+                a, b = A[0], B[0]
+                c = a.cost + b.cost
+                if cap is None or c <= cap:
+                    cands.append((v, a.height if a.height > b.height else b.height, c, a, b))
+                continue
+            for a, b in _split_pairs(A, B):
+                c = a.cost + b.cost
+                if cap is None or c <= cap:
+                    cands.append((v, a.height if a.height > b.height else b.height, c, a, b))
+        sub = (sub - 1) & rest
+    cands.sort(key=operator.itemgetter(0, 1, 2))
+    heap, at, least = [], None, None
+    for v, h, c, a, b in cands:
+        if v != at or c < least:
+            at, least = v, c
+            heap.append((h, c, next(order), v, ("split", a, b)))
+    heapq.heapify(heap)
+    return heap
+
+
 def star_frontiers(
     graph: WeightedGraph,
     terminals: tuple[int, ...],
@@ -250,12 +312,12 @@ def star_frontiers(
     leaf = (Label(0, 0, ("leaf",)),)
     frontiers = {(v, 0): leaf for v in range(n)}
     order = itertools.count()
+    cells, reach = [{}] * (full + 1), [0] * (full + 1)
 
     for mask in range(1, full + 1):
         kept: dict[int, list[Label]] = {
             v: [] for v in range(n) if not tbit.get(v, 0) & mask
         }
-        heap: list[tuple] = []
 
         def relax(v: int, label: Label) -> None:
             for a, ln, co, idx in arcs[v]:
@@ -266,18 +328,7 @@ def star_frontiers(
                 if not row or c < row[-1].cost:
                     heapq.heappush(heap, (h, c, next(order), a, ("edge", idx, label)))
 
-        for v in kept:
-            sub = (mask - 1) & mask
-            while sub:
-                other = mask ^ sub
-                if sub < other:  # each unordered split once
-                    for a in frontiers[(v, sub)]:
-                        for b in frontiers[(v, other)]:
-                            c = a.cost + b.cost
-                            if cap is None or c <= cap:
-                                h = max(a.height, b.height)
-                                heapq.heappush(heap, (h, c, next(order), v, ("split", a, b)))
-                sub = (sub - 1) & mask
+        heap = _split_seeds(cells, reach, mask, cap, order) if mask & (mask - 1) else []
         for t, bit in tbit.items():
             if bit & mask:  # a terminal in the subset sends its settled labels
                 for label in frontiers[(t, mask ^ bit)]:
@@ -291,6 +342,12 @@ def star_frontiers(
                 relax(v, label)
         for v, row in kept.items():
             frontiers[(v, mask)] = tuple(row)
+        if mask < full:  # a part of later masks' splits
+            bits = 0
+            for v, row in kept.items():
+                if row:
+                    bits |= 1 << v
+            cells[mask], reach[mask] = kept, bits
     return frontiers
 
 

@@ -22,6 +22,7 @@ from slsn.core import (
     hop_bounded_path,
     hop_levels,
     hop_levels_path,
+    hop_levels_walk,
     restricted_min_cost_path,
 )
 from slsn.oracle import brute_force_restricted_path
@@ -372,8 +373,9 @@ class TestHopBoundedPath:
         # one hop_levels table per source, built at a bound, walks to the
         # very Path that hop_bounded_path returns for every target and
         # every budget up to that bound, past the level where the
-        # relaxation stops changing too; parallel and zero-cost edges
-        # included, under both integer views
+        # relaxation stops changing too (hop_levels_walk to its vertices
+        # and edges); parallel and zero-cost edges included, under both
+        # integer views
         rng = random.Random(912)
         parallel = zero_cost = stopped_early = 0
         for _ in range(60):
@@ -388,9 +390,10 @@ class TestHopBoundedPath:
                     stopped_early += len(table[0]) - 1 < min(bound, n - 1)
                     for v in range(n):
                         for h in range(bound + 1):
-                            assert hop_levels_path(g, table, v, h) == hop_bounded_path(
-                                g, u, v, h, weight
-                            )
+                            path = hop_levels_path(g, table, v, h)
+                            assert path == hop_bounded_path(g, u, v, h, weight)
+                            walk = hop_levels_walk(table, v, h)
+                            assert walk == (path and (path.vertices, path.edges))
         assert parallel >= 40 and zero_cost >= 20 and stopped_early >= 150
 
 

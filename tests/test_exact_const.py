@@ -671,14 +671,14 @@ def test_one_hop_table_per_segment_source(monkeypatch, solve, make):
         built.append(u)
         return real(graph, u, hop_bound, weight)
 
-    def walk(graph, table, v, hop_bound, real=exact_const.hop_levels_path):
+    def walk(table, v, hop_bound, real=exact_const.hop_levels_walk):
         walked.append((table[0][0].index(0), v, hop_bound))  # level 0 is 0 at the source only
-        path = real(graph, table, v, hop_bound)
-        assert len(path.edges) == hop_bound
-        return path
+        vertices, edges = real(table, v, hop_bound)
+        assert len(edges) == hop_bound == len(vertices) - 1
+        return vertices, edges
 
     monkeypatch.setattr(exact_const, "hop_levels", levels)
-    monkeypatch.setattr(exact_const, "hop_levels_path", walk)
+    monkeypatch.setattr(exact_const, "hop_levels_walk", walk)
     rng = random.Random(1317)
     builds = keys = 0
     for _ in range(40):

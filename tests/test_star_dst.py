@@ -1,13 +1,18 @@
+import heapq
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from slsn import star_dst
 from slsn.approx import ScaledCosts, build_height_table
 from slsn.core import (
     DemandGraph,
     SlsnInstance,
     WeightedGraph,
+    adjacency,
+    dijkstra,
     expand_to_unit,
     feasibility_check,
 )
@@ -15,7 +20,9 @@ from slsn.generators import random_instance
 from slsn.oracle import brute_force_slsn
 from slsn.star_dst import (
     DstInstance,
+    Label,
     _fill_dst_table,
+    _split_pairs,
     build_layered_dst,
     dst_cost,
     solve_dst,
@@ -234,38 +241,47 @@ def with_far_component(inst, terminal):
     return SlsnInstance(WeightedGraph(n + 2, edges), inst.L, DemandGraph(pairs))
 
 
+def tie_heavy_stars(seed, trials, p_max=4):
+    """Seeded stars on which ties are common: unit and rational lengths,
+    costs 0..3 and tight L; on two trials in three a component the root
+    cannot reach, once with a terminal in it.  Yields (graph, root,
+    terminals, L, cap, dist) for cap None and half the total cost, dist
+    the shortest lengths from the root."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        kind = ("unit", "rational")[trial % 2]
+        inst = random_instance(
+            rng, star=True, length_kind=kind, cost_range=(0, 3), p_max_star=p_max
+        )
+        if trial % 3:
+            inst = with_far_component(inst, terminal=trial % 3 == 2)
+        g = inst.graph
+        root, terminals = star_terminals(inst)
+        dist = root_distances(g, g.int_lengths, root)
+        for L in {rng.choice(sorted(dist.values())[1:] or [1]), max(dist.values()) + 1}:
+            for cap in (None, sum(g.int_costs) // 2):
+                yield g, root, terminals, L, cap, dist
+
+
 class TestRootSlackPruning:
     """star_frontiers with a root against the unpruned DP (root=None)."""
 
     def test_cells_are_unpruned_cells_cut_at_slack(self):
-        # unit and rational lengths, costs 0..3 and tight L make ties common
-        rng = random.Random(1414)
-        for trial in range(48):
-            kind = ("unit", "rational")[trial % 2]
-            inst = random_instance(rng, star=True, length_kind=kind, cost_range=(0, 3))
-            if trial % 3:
-                inst = with_far_component(inst, terminal=trial % 3 == 2)
-            g = inst.graph
-            root, terminals = star_terminals(inst)
+        for g, root, terminals, L, cap, dist in tie_heavy_stars(1414, 48):
             lengths, costs = g.int_lengths, g.int_costs
-            dist = root_distances(g, lengths, root)
             full = (1 << len(terminals)) - 1
-            for L in {rng.choice(sorted(dist.values())[1:] or [1]), max(dist.values()) + 1}:
-                for cap in (None, sum(costs) // 2):
-                    ref = star_frontiers(g, terminals, lengths, costs, L, cap)
-                    got = star_frontiers(g, terminals, lengths, costs, L, cap, root=root)
-                    assert got.keys() == ref.keys()
-                    assert got[(root, full)] == ref[(root, full)]
-                    if ref[(root, full)]:
-                        assert tree_edges(got[(root, full)][-1]) == tree_edges(
-                            ref[(root, full)][-1]
-                        )
-                    for (v, mask), row in got.items():
-                        if mask == 0:
-                            assert row == ref[(v, mask)]  # the leaf, at every vertex
-                            continue
-                        slack = L - dist[v] if v in dist else -1
-                        assert row == tuple(x for x in ref[(v, mask)] if x.height <= slack)
+            ref = star_frontiers(g, terminals, lengths, costs, L, cap)
+            got = star_frontiers(g, terminals, lengths, costs, L, cap, root=root)
+            assert got.keys() == ref.keys()
+            assert got[(root, full)] == ref[(root, full)]
+            if ref[(root, full)]:
+                assert tree_edges(got[(root, full)][-1]) == tree_edges(ref[(root, full)][-1])
+            for (v, mask), row in got.items():
+                if mask == 0:
+                    assert row == ref[(v, mask)]  # the leaf, at every vertex
+                    continue
+                slack = L - dist[v] if v in dist else -1
+                assert row == tuple(x for x in ref[(v, mask)] if x.height <= slack)
 
     def test_height_table_cells_fall(self):
         # a rational star with labels far from the root that no root tree of
@@ -287,3 +303,155 @@ class TestRootSlackPruning:
         assert table.frontiers[(0, 7)] == unpruned[(0, 7)] != ()
         assert sum(len(row) for row in unpruned.values()) == 48
         assert sum(1 for _ in table.cells()) == 33
+
+
+def all_pairs_star_frontiers(graph, terminals, lengths, costs, L, cap=None, root=None, pushed=None):
+    """star_frontiers with every split pair pushed: each (vertex, sub)
+    split at every vertex, empty parts included, and the whole product of
+    its two frontiers.  pushed[0] counts the split pairs pushed."""
+    n = graph.vertex_count
+    if root is None:
+        bound = [L] * n
+    else:
+        dist, _ = dijkstra(adjacency(graph, range(graph.edge_count), lengths), {root: 0})
+        bound = [L - dist[v] if v in dist and dist[v] <= L else -1 for v in range(n)]
+    tbit = {t: 1 << i for i, t in enumerate(terminals)}
+    full = (1 << len(terminals)) - 1
+    arcs = [[] for _ in range(n)]
+    for idx, e in enumerate(graph.edges):
+        arcs[e.v].append((e.u, lengths[idx], costs[idx], idx))
+        arcs[e.u].append((e.v, lengths[idx], costs[idx], idx))
+    frontiers = {(v, 0): (Label(0, 0, ("leaf",)),) for v in range(n)}
+    order = itertools.count()
+    for mask in range(1, full + 1):
+        kept = {v: [] for v in range(n) if not tbit.get(v, 0) & mask}
+        heap = []
+
+        def relax(v, label):
+            for a, ln, co, idx in arcs[v]:
+                row = kept.get(a)
+                h, c = label.height + ln, label.cost + co
+                if row is None or h > bound[a] or (cap is not None and c > cap):
+                    continue
+                if not row or c < row[-1].cost:
+                    heapq.heappush(heap, (h, c, next(order), a, ("edge", idx, label)))
+
+        for v in kept:
+            sub = (mask - 1) & mask
+            while sub:
+                other = mask ^ sub
+                if sub < other:
+                    for a in frontiers[(v, sub)]:
+                        for b in frontiers[(v, other)]:
+                            c = a.cost + b.cost
+                            if cap is None or c <= cap:
+                                h = max(a.height, b.height)
+                                heapq.heappush(heap, (h, c, next(order), v, ("split", a, b)))
+                                if pushed is not None:
+                                    pushed[0] += 1
+                sub = (sub - 1) & mask
+        for t, bit in tbit.items():
+            if bit & mask:
+                for label in frontiers[(t, mask ^ bit)]:
+                    relax(t, label)
+        while heap:
+            h, c, _, v, prov = heapq.heappop(heap)
+            row = kept[v]
+            if not row or c < row[-1].cost:
+                label = Label(h, c, prov)
+                row.append(label)
+                relax(v, label)
+        for v, row in kept.items():
+            frontiers[(v, mask)] = tuple(row)
+    return frontiers
+
+
+def star_dp_runs(seed=2207, trials=300):
+    """star_frontiers argument lists over tie_heavy_stars with up to five
+    terminals, each without and with the root."""
+    for g, root, terminals, L, cap, _ in tie_heavy_stars(seed, trials, p_max=5):
+        for r in (None, root):
+            yield g, terminals, g.int_lengths, g.int_costs, L, cap, r
+
+
+def random_frontier(rng):
+    """1 to 5 labels with heights strictly rising and costs strictly
+    falling, from small ranges so that heights tie across frontiers."""
+    k = rng.randint(1, 5)
+    heights = sorted(rng.sample(range(7), k))
+    costs = sorted(rng.sample(range(12), k), reverse=True)
+    return tuple(Label(h, c, ("leaf",)) for h, c in zip(heights, costs))
+
+
+class TestSplitSeeding:
+    """The pruned split seeding of star_frontiers against pushing every
+    pair of every split at every vertex."""
+
+    def test_frontiers_match_the_all_pairs_dp(self):
+        # whole frontier dicts, provenance included: a dropped seed or a
+        # reordered tie would change a label or the tree it records
+        five = 0
+        for args in star_dp_runs():
+            assert star_frontiers(*args) == all_pairs_star_frontiers(*args)
+            five += len(args[1]) == 5
+        assert five >= 200
+
+    def test_equal_seeds_pop_by_ascending_vertex(self):
+        # Steiner vertices 3 and 4 each join terminals 1 and 2 at height 1
+        # and cost 2, and reach the root 0 through 5 at equal cost; the tie
+        # goes to the seed pushed first, the one at the lower vertex
+        edges = [(3, 1, 1, 1), (3, 2, 1, 1), (4, 1, 1, 1), (4, 2, 1, 1),
+                 (5, 3, 1, 1), (5, 4, 1, 1), (0, 5, 1, 1)]
+        g = WeightedGraph(6, edges)
+        args = (g, (1, 2), g.int_lengths, g.int_costs, 3, None, 0)
+        got = star_frontiers(*args)
+        assert got == all_pairs_star_frontiers(*args)
+        (label,) = got[(0, 3)]
+        assert (label.height, label.cost, tree_edges(label)) == (3, 4, {0, 1, 4, 6})
+
+    def test_split_pairs_are_the_pareto_front_of_the_product(self, monkeypatch):
+        def beats(y, x):  # pair y is no higher and no dearer than x, and not equal
+            (ya, yb), (xa, xb) = y, x
+            hy, cy = max(ya.height, yb.height), ya.cost + yb.cost
+            hx, cx = max(xa.height, xb.height), xa.cost + xb.cost
+            return hy <= hx and cy <= cx and (hy, cy) != (hx, cx)
+
+        def check(A, B):
+            product = [(a, b) for a in A for b in B]
+            got = _split_pairs(A, B)
+            # the undominated pairs, in (index in A, index in B) order
+            assert got == [x for x in product if not any(beats(y, x) for y in product)]
+            assert len(got) <= len(A) + len(B) - 1
+            assert all(any(beats(y, x) for y in got) for x in product if x not in got)
+
+        rng = random.Random(77)
+        for _ in range(3000):
+            check(random_frontier(rng), random_frontier(rng))
+        seen = []
+
+        def spy(A, B, real=star_dst._split_pairs):
+            seen.append((A, B))
+            return real(A, B)
+
+        monkeypatch.setattr(star_dst, "_split_pairs", spy)
+        for args in star_dp_runs(trials=60):
+            star_frontiers(*args)
+        assert len(seen) >= 100
+        for A, B in seen:
+            check(A, B)
+
+    def test_seed_and_label_counts(self, monkeypatch):
+        # split seeds that enter the heap and labels kept over the corpus,
+        # with the split pairs the all-pairs DP pushes for scale
+        seeds, labels, pushed = [0], 0, [0]
+
+        def count(*args, real=star_dst._split_seeds):
+            heap = real(*args)
+            seeds[0] += len(heap)
+            return heap
+
+        monkeypatch.setattr(star_dst, "_split_seeds", count)
+        for args in star_dp_runs():
+            labels += sum(len(row) for row in star_frontiers(*args).values())
+            all_pairs_star_frontiers(*args, pushed=pushed)
+        assert (pushed[0], seeds[0], labels) == (41906, 19615, 55278)
