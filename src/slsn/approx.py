@@ -20,13 +20,15 @@ Four pieces, used together:
     (exact_const._option_guesses), but its options carry no hop budget:
     each is the min_dist path at a guessed cost scale (1+eps')^{c'} * C.
     eps' = eps/4 internally, so the overall ratio is (1+eps); feasibility
-    is never relaxed.  A pair's
-    options are the distinct min_dist paths over the grid's distinct
-    clamped vectors, each elementwise no larger than the one before.  When
-    the pair has a unique shortest path that fits a vector's budget, the DP
-    returns that path for it and for every later vector, so the path is
-    taken as is; the DP runs (once per source and vector) only for the
-    vectors before, or for all of them when shortest paths tie.
+    is never relaxed.  A pair's options are the distinct min_dist paths
+    over the grid's distinct clamped vectors, each elementwise no larger
+    than the one before and built when first read.  The DP runs (once per
+    source and vector, on arcs set up once per vector) from the first
+    vector whose in-budget edges join the pair, since no earlier one has a
+    label at its end.  When the pair has a unique shortest path that fits
+    a vector's budget, that path is the DP's answer there and after, so it
+    is taken as is; only when shortest paths tie does the DP run on to the
+    last vector.
   - approx_star: the star (1+eps) solver.  A Dreyfus-Wagner style program
     over (root vertex, terminal subset) computes, per scaled-cost budget,
     the smallest achievable tree height; the cheapest budget whose height
@@ -49,7 +51,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     Path,
@@ -61,7 +63,7 @@ from .core import (
     feasibility_check,
 )
 from .exact_const import _option_guesses, _solve_by_chains, length_distances
-from .star_dst import Label, star_frontiers, star_terminals, tree_edges
+from .star_dst import Label, star_arcs, star_frontiers, star_pass, star_terminals, tree_edges
 
 
 @dataclass(frozen=True)
@@ -194,18 +196,18 @@ def _exponent_range(n: int, eps: Fraction) -> tuple[int, int]:
 
 def _clamped_vectors(
     graph: WeightedGraph, eps: Fraction, C: Fraction, budget: int
-) -> list[tuple[int, ...]]:
-    """The distinct scaled-cost vectors over the exponent grid, in grid order.
+) -> Iterator[tuple[int, ...]]:
+    """The distinct scaled-cost vectors over the exponent grid, yielded in grid order.
 
     Each is clamped to budget + 1: star_frontiers never relaxes an edge
     whose height alone exceeds L = budget, so the clamp changes no label.
     Exponent c' scales an integer cost c over D to ceil(c * num / den),
     num / den = n / (eps (1+eps)^c' C D), so each step divides num / den by
     1+eps = (a+b)/b.  The factor falls as the exponent rises, so each vector
-    is elementwise no larger than the one before.  While even the cheapest
-    positive edge scales above the budget every edge clamps, and once the
-    dearest scales to at most 1 every later vector is the same (1 per
-    positive cost), so only the exponents between are built.
+    is elementwise no larger than the one before; a repeat is dropped.
+    While even the cheapest positive edge scales above the budget every edge
+    clamps, and once the dearest scales to at most 1 every later vector is
+    the same (1 per positive cost), so only the exponents between are built.
     """
     n = graph.vertex_count
     lo, hi = _exponent_range(n, eps)
@@ -214,7 +216,7 @@ def _clamped_vectors(
     positive = [c for c in costs if c > 0]
     least, greatest = min(positive, default=0), max(positive, default=0)
     clamped = tuple(budget + 1 if c > 0 else 0 for c in costs)
-    vectors: dict[tuple[int, ...], None] = {}
+    last = None
     # num / den = n b C.den (a+b)^-e / (a C.num D b^-e) at exponent e <= 0
     num = n * b * C.denominator * (a + b) ** -lo
     den = a * C.numerator * graph.cost_denominator * b ** -lo
@@ -223,7 +225,9 @@ def _clamped_vectors(
             vec = clamped
         else:
             vec = tuple(min(-(-c * num // den), budget + 1) for c in costs)
-        vectors.setdefault(vec, None)
+        if vec != last:
+            yield vec
+            last = vec
         if greatest * num <= den:
             break
         if e < 0:  # cancel a factor held since lo, keeping both ints short
@@ -232,28 +236,49 @@ def _clamped_vectors(
         else:
             num *= b
             den *= a + b
-    return list(vectors)
 
 
 def _min_dist_options(
-    graph: WeightedGraph, vectors: list[tuple[int, ...]], budget: int
+    graph: WeightedGraph, vectors: Iterable[tuple[int, ...]], budget: int
 ) -> Callable[[int, int], list[frozenset[int]]]:
     """options(u, v): the distinct paths, as edge sets in first-seen order,
     that the min-dist tables of the vectors (in order) find from u to v.
 
-    A table is one star_frontiers run from u, built only when a pair reads
-    it.  Lengths are positive, so a shortest walk is a simple path; when the
-    pair has exactly one, P*, and P* fits a vector's budget, that vector's
-    last label at v has P*'s length and so is P*, and P* fits every later,
-    elementwise smaller vector too.  The tables are read only before that
-    vector, or at every vector when shortest paths tie.
+    Vectors are drawn as reads need them.  A table is one star_pass from u,
+    built when a pair reads it, over its vector's star_arcs, which all
+    sources share.  A path fits a budget only if each of its edges does, and
+    an edge fits every vector after the first it fits, so no vector before
+    joined[u, v], set by a union pass in that order, has a label at v.
+    Lengths are positive, so a shortest walk is a simple path; when the pair
+    has exactly one, P*, and P* fits a vector's budget, that vector's last
+    label at v has P*'s length, so is P*, and so is every later (elementwise
+    smaller) vector's.  Tables are read from joined[u, v] up to that vector,
+    or on to the last when shortest paths tie.
     """
-    lengths = graph.int_lengths
+    n, lengths = graph.vertex_count, graph.int_lengths
     adj = adjacency(graph, range(graph.edge_count), lengths)
+    stream, built, bound = iter(vectors), [], [budget] * n
+    group = [{v} for v in range(n)]  # the vertices joined to v so far
+    joined = {(v, v): 0 for v in range(n)}
+
+    def draw() -> bool:  # the next vector joins each in-budget edge's ends; False if none
+        vec = next(stream, None)
+        if vec is not None:
+            built.append(vec)
+            for e, height in zip(graph.edges, vec):
+                left, right = group[e.u], group[e.v]
+                if height <= budget and left is not right:
+                    for x, y in itertools.product(left, right):
+                        joined[x, y] = joined[y, x] = len(built) - 1
+                    left |= right
+                    group[:] = [left if g is right else g for g in group]
+        return vec is not None
+
+    arcs = functools.cache(lambda k: star_arcs(graph, built[k], lengths, budget, None))
 
     @functools.cache
     def table(source: int, k: int) -> dict[tuple[int, int], tuple[Label, ...]]:
-        return star_frontiers(graph, (source,), vectors[k], lengths, budget)
+        return star_pass(arcs(k), (source,), bound, None)
 
     @functools.cache
     def shortest(source: int) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
@@ -272,6 +297,9 @@ def _min_dist_options(
         ways, parent = shortest(u)
         if v not in ways:
             return []  # no u-v walk: every table's frontier at v is empty
+        while (u, v) not in joined:
+            if not draw():
+                return []  # no vector brings a u-v path within the budget
         only = None
         if ways[v] == 1:
             edges, w = set(), v
@@ -280,13 +308,15 @@ def _min_dist_options(
                 edges.add(idx)
             only = frozenset(edges)
         found: dict[frozenset[int], None] = {}
-        for k, vec in enumerate(vectors):
-            if only is not None and sum(vec[idx] for idx in only) <= budget:
+        k = joined[u, v]
+        while k < len(built) or draw():
+            if only is not None and sum(built[k][idx] for idx in only) <= budget:
                 found.setdefault(only, None)
                 break  # the later vectors' answers are P* as well
             frontier = table(u, k)[(v, 1)]
             if frontier:
                 found.setdefault(frozenset(tree_edges(frontier[-1])), None)
+            k += 1
         return list(found)
 
     return options

@@ -12,10 +12,11 @@ kept only if cheaper than every kept label of no greater height at its
 vertex.  solve_slst runs it with unit lengths and exact integer costs and
 reads the cheapest tree of height at most L; approx.build_height_table runs
 it with scaled costs and a cost cap.  Both pass the star root, so a label
-at v is kept only up to L - d(root, v).  approx.min_dist and approx_const
-run it from one terminal, the path's source, with the criteria swapped
-(heights are scaled costs held to the level budget, costs are lengths), so
-each vertex's last label is its shortest path at the least scaled cost.
+at v is kept only up to L - d(root, v).  approx.min_dist runs it from one
+terminal, the path's source, with the criteria swapped (heights are scaled
+costs held to the level budget, costs are lengths), so each vertex's last
+label is its shortest path at the least scaled cost; approx_const runs its
+halves, the set-up star_arcs once per cost vector and star_pass per source.
 
 The paper's exact algorithm reduces unit-length stars to a directed Steiner
 tree on an (L+1)-layered digraph: layer i holds a copy v(i) of every
@@ -302,13 +303,31 @@ def star_frontiers(
     else:
         dist, _ = dijkstra(adjacency(graph, range(graph.edge_count), lengths), {root: 0})
         bound = [L - dist[v] if v in dist and dist[v] <= L else -1 for v in range(n)]
+    return star_pass(star_arcs(graph, lengths, costs, L, cap), terminals, bound, cap)
+
+
+def star_arcs(
+    graph: WeightedGraph, lengths: Sequence[int], costs: Sequence[int], L: int, cap: Optional[int]
+) -> list[list[tuple[int, int, int, int]]]:
+    """star_frontiers' set-up: arcs[b] lists, in edge order, (a, length, cost, idx)
+    extending a tree at b to one at a, less the edges above L or cap."""
+    arcs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(graph.vertex_count)]
+    for idx, e in enumerate(graph.edges):
+        ln, co = lengths[idx], costs[idx]
+        if ln <= L and (cap is None or co <= cap):
+            arcs[e.v].append((e.u, ln, co, idx))
+            arcs[e.u].append((e.v, ln, co, idx))
+    return arcs
+
+
+def star_pass(
+    arcs: list[list[tuple[int, int, int, int]]], terminals: tuple[int, ...], bound: Sequence[int],
+    cap: Optional[int],
+) -> dict[tuple[int, int], tuple[Label, ...]]:
+    """star_frontiers' label-setting pass per subset, a tree at v held to bound[v]."""
+    n = len(arcs)
     tbit = {t: 1 << i for i, t in enumerate(terminals)}
     full = (1 << len(terminals)) - 1
-    # arcs[b]: (a, length, cost, idx) extends a tree rooted at b to one at a
-    arcs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for idx, e in enumerate(graph.edges):
-        arcs[e.v].append((e.u, lengths[idx], costs[idx], idx))
-        arcs[e.u].append((e.v, lengths[idx], costs[idx], idx))
     leaf = (Label(0, 0, ("leaf",)),)
     frontiers = {(v, 0): leaf for v in range(n)}
     order = itertools.count()

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -466,7 +467,7 @@ class TestApproxConst:
             if bounds is not None and bounds.C > 0:
                 eps_i = eps / 4
                 budget = g.vertex_count * eps_i.denominator // eps_i.numerator
-                vectors = approx._clamped_vectors(g, eps_i, bounds.C, budget)
+                vectors = list(approx._clamped_vectors(g, eps_i, bounds.C, budget))
                 lazy = approx._min_dist_options(g, vectors, budget)
                 full = full_scan_options(g, vectors, budget)
                 for u in range(g.vertex_count):
@@ -495,7 +496,7 @@ class TestApproxConst:
         inst = make_instance(g, 2, [(0, 2)])
         eps = Fraction(1, 4)
         budget = n * 16  # n / (eps / 4)
-        vectors = approx._clamped_vectors(g, eps / 4, opt_low(inst).C, budget)
+        vectors = list(approx._clamped_vectors(g, eps / 4, opt_low(inst).C, budget))
         got = approx._min_dist_options(g, vectors, budget)(0, 2)
         assert got == full_scan_options(g, vectors, budget)(0, 2) == [frozenset(cheapest)]
         with monkeypatch.context() as m:
@@ -525,6 +526,59 @@ class TestApproxConst:
                 assert built < scanned
                 below += 1
         assert below >= 20
+
+    def test_join_index_is_first_connecting_vector(self):
+        # joined[u, v] is the first vector whose in-budget edges connect u
+        # and v (None if none does), and no earlier vector's table has a
+        # label at v
+        rng = random.Random(1909)
+        late = 0
+        for _ in range(120):
+            inst, eps = _tied_instance(rng)
+            g = inst.graph
+            bounds = opt_low(inst)
+            if bounds is None or bounds.C == 0:
+                continue
+            eps_i = eps / 4
+            budget = g.vertex_count * eps_i.denominator // eps_i.numerator
+            vectors = list(approx._clamped_vectors(g, eps_i, bounds.C, budget))
+            options = approx._min_dist_options(g, vectors, budget)
+            joined = inspect.getclosurevars(options.__wrapped__).nonlocals["joined"]
+            for u in range(g.vertex_count):
+                for v in range(u + 1, g.vertex_count):
+                    options(u, v)
+                    want = next(
+                        (k for k, vec in enumerate(vectors) if v in _within_budget(g, vec, budget, u)),
+                        None,
+                    )
+                    assert joined.get((u, v)) == want
+                    for vec in vectors[: len(vectors) if want is None else want]:
+                        assert not star_frontiers(g, (u,), vec, g.int_lengths, budget)[(v, 1)]
+                    late += bool(want)
+        assert late >= 600
+
+    def test_late_join_counts(self, monkeypatch):
+        # a cost-1 chain 0-1-2-3 and a direct 0-3 edge of length 2 and cost
+        # 40: at L = 2 only the direct edge is feasible, so C = 40.  The
+        # chain joins 0 and 3 at vector 1, so vector 0 runs no pass; the
+        # direct edge, the unique shortest path, fits the budget at vector
+        # 39, so passes run at vectors 1..38 and no vector past 39 is built
+        g = WeightedGraph(4, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1), (0, 3, 2, 40)])
+        inst = make_instance(g, 2, [(0, 3)])
+        eps = Fraction(1, 4)
+        passes, scanned = count_tables(monkeypatch, inst, eps)
+        drawn, real = [], approx._clamped_vectors
+
+        def counted(*args):
+            for vec in real(*args):
+                drawn.append(vec)
+                yield vec
+
+        monkeypatch.setattr(approx, "_clamped_vectors", counted)
+        sol = approx_const(inst, eps)
+        total = len(list(real(g, eps / 4, Fraction(40), 4 * 16)))
+        assert (passes, len(drawn), scanned, total) == (38, 40, 75, 75)
+        assert _cost_and_edges(sol) == (40, {3})
 
 
 class TestApproxStar:
@@ -632,6 +686,7 @@ def assert_extra_edges_metamorphic(solver, inst, rng, eps=Fraction(1, 4)):
 def full_scan_options(graph, vectors, budget):
     """The min-dist options read from every vector's table for every pair:
     the reference for approx._min_dist_options."""
+    vectors = list(vectors)
 
     @functools.cache
     def tables(u):
@@ -645,16 +700,17 @@ def full_scan_options(graph, vectors, budget):
 
 
 def count_tables(monkeypatch, inst, eps):
-    """(star_frontiers calls of approx_const, sources its pairs read times
-    the distinct cost vectors): the calls the full scan would make."""
+    """(label passes of approx_const, sources its pairs read times the
+    distinct cost vectors): the passes the full scan would run."""
     built, sources, sizes = [], set(), []
-    real_frontiers, real_options = approx.star_frontiers, approx._min_dist_options
+    real_pass, real_options = approx.star_pass, approx._min_dist_options
 
     def counted(*args, **kwargs):
         built.append(args[1])
-        return real_frontiers(*args, **kwargs)
+        return real_pass(*args, **kwargs)
 
     def recorded(graph, vectors, budget):
+        vectors = list(vectors)
         options = real_options(graph, vectors, budget)
         sizes.append(len(vectors))
 
@@ -665,7 +721,7 @@ def count_tables(monkeypatch, inst, eps):
         return read
 
     with monkeypatch.context() as m:
-        m.setattr(approx, "star_frontiers", counted)
+        m.setattr(approx, "star_pass", counted)
         m.setattr(approx, "_min_dist_options", recorded)
         approx_const(inst, eps)
     return len(built), len(sources) * sum(sizes)
@@ -683,6 +739,20 @@ def _tied_instance(rng):
         e = rng.choice(inst.graph.edges)
         inst = with_edges(inst, [(e.u, e.v, e.length, rng.randint(0, 6))])
     return inst, rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)])
+
+
+def _within_budget(graph, vec, budget, source):
+    """The vertices that the edges e with vec[e] <= budget connect to source."""
+    seen, stack = {source}, [source]
+    while stack:
+        x = stack.pop()
+        for idx, e in enumerate(graph.edges):
+            if vec[idx] <= budget and x in (e.u, e.v):
+                y = e.v if x == e.u else e.u
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
 
 
 def _cost_and_edges(sol):
