@@ -63,7 +63,9 @@ from .core import (
     feasibility_check,
 )
 from .exact_const import _option_guesses, _solve_by_chains, length_distances
-from .star_dst import Label, star_arcs, star_frontiers, star_pass, star_terminals, tree_edges
+from .star_dst import (
+    Label, label_path, star_arcs, star_frontiers, star_pass, star_terminals, tree_edges,
+)
 
 
 @dataclass(frozen=True)
@@ -99,20 +101,21 @@ def _zero_cost_edges(graph: WeightedGraph) -> set[int]:
 
 
 def _ceil_log(base: Fraction, x: Fraction) -> int:
-    """Smallest nonnegative integer c with base^c >= x (base > 1).
+    """Smallest integer c, of either sign, with base^c >= x (base > 1, x > 0).
 
-    base^c is held as the int pair (a^c, b^c), base = a/b, and compared
-    with x by cross-multiplying, so no step reduces a Fraction.
+    base^c is held as an int pair, stepped up from c = 0 by base = a/b while
+    it falls short of x, then down while base^(c-1) still reaches x, and
+    compared with x by cross-multiplying, so no step reduces a Fraction.
     """
-    if base <= 1:
-        raise ValueError("base must exceed 1")
+    if base <= 1 or x <= 0:
+        raise ValueError("base must exceed 1 and x must be positive")
     a, b = base.numerator, base.denominator
-    x = Fraction(x)
+    p, q = Fraction(x).as_integer_ratio()
     c, power_num, power_den = 0, 1, 1
-    while power_num * x.denominator < x.numerator * power_den:
-        power_num *= a
-        power_den *= b
-        c += 1
+    while power_num * q < p * power_den:
+        power_num, power_den, c = power_num * a, power_den * b, c + 1
+    while power_num * b * q >= p * power_den * a:
+        power_num, power_den, c = power_num * b, power_den * a, c - 1
     return c
 
 
@@ -159,16 +162,7 @@ def min_dist(
     scaled = ScaledCosts.compute(graph, eps, C)
     budget = n * eps.denominator // eps.numerator
     frontier = star_frontiers(graph, (s,), scaled.values, graph.int_lengths, budget)[(t, 1)]
-    if not frontier:
-        return None
-    # the last label's edge chain runs from t back to s
-    label, vertices, edge_seq = frontier[-1], [t], []
-    while label.prov[0] == "edge":
-        _, idx, label = label.prov
-        e = graph.edges[idx]
-        vertices.append(e.u if e.v == vertices[-1] else e.v)
-        edge_seq.append(idx)
-    return Path.from_edge_sequence(graph, vertices[::-1], edge_seq[::-1])
+    return Path.from_edge_sequence(graph, *label_path(graph, t, frontier[-1])) if frontier else None
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +201,9 @@ def _clamped_vectors(
     is elementwise no larger than the one before; a repeat is dropped.
     While even the cheapest positive edge scales above the budget every edge
     clamps, and once the dearest scales to at most 1 every later vector is
-    the same (1 per positive cost), so only the exponents between are built.
+    the same (1 per positive cost), so only the exponents between are built:
+    the first is read off _ceil_log, and the all-clamped vector comes first
+    only when an exponent from lo up clamps every edge.
     """
     n = graph.vertex_count
     lo, hi = _exponent_range(n, eps)
@@ -215,22 +211,26 @@ def _clamped_vectors(
     costs = graph.int_costs
     positive = [c for c in costs if c > 0]
     least, greatest = min(positive, default=0), max(positive, default=0)
-    clamped = tuple(budget + 1 if c > 0 else 0 for c in costs)
+    # num / den = n b C.den b^e / (a C.num D (a+b)^e) at exponent e
+    num, den = n * b * C.denominator, a * C.numerator * graph.cost_denominator
+    first = lo
+    if least:  # the cheapest positive edge scales within the budget from here on
+        first = max(lo, _ceil_log(1 + eps, Fraction(least * num, budget * den)))
+        if first > lo:
+            yield tuple(budget + 1 if c > 0 else 0 for c in costs)
+    if first < 0:
+        num, den = num * (a + b) ** -first, den * b ** -first
+    else:
+        num, den = num * b ** first, den * (a + b) ** first
     last = None
-    # num / den = n b C.den (a+b)^-e / (a C.num D b^-e) at exponent e <= 0
-    num = n * b * C.denominator * (a + b) ** -lo
-    den = a * C.numerator * graph.cost_denominator * b ** -lo
-    for e in range(lo, hi + 1):
-        if least * num > budget * den:
-            vec = clamped
-        else:
-            vec = tuple(min(-(-c * num // den), budget + 1) for c in costs)
+    for e in range(first, hi + 1):
+        vec = tuple(min(-(-c * num // den), budget + 1) for c in costs)
         if vec != last:
             yield vec
             last = vec
         if greatest * num <= den:
             break
-        if e < 0:  # cancel a factor held since lo, keeping both ints short
+        if e < 0:  # cancel a factor held since first, keeping both ints short
             num //= a + b
             den //= b
         else:

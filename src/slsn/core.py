@@ -6,6 +6,9 @@ comparisons never go through floating point.  Every search, here and in
 the solvers, adds and compares only each graph's integer view (lengths and
 costs as ints over graph-wide common denominators) and the instance's
 ``length_cap``, L on that view; Fractions appear only in what it returns.
+Shortest paths have one kernel here, ``dijkstra``; hop-bounded paths are
+star_dst's label DP (``star_dst.hop_bounded_path``), which
+``restricted_min_cost_path`` reads.
 
 Design notes:
   - Graphs are undirected multigraphs.  Parallel edges are kept as-is; all
@@ -448,99 +451,17 @@ def feasibility_check(instance: SlsnInstance, edge_subset: Iterable[int]) -> Fea
     return FeasibilityReport(tuple(statuses))
 
 
-HopLevels = tuple[list[list[Optional[int]]], dict[tuple[int, int], tuple[int, int]]]
-
-
-def hop_levels(graph: WeightedGraph, u: int, hop_bound: int, weight: Sequence[int]) -> HopLevels:
-    """Bellman-Ford levels from u over at most hop_bound edges: (levels, parent).
-
-    levels[h][w] is the least weight of a u-w walk with at most h edges
-    (None if none), for nonnegative integer weights indexed by edge (one
-    of the graph's integer views); parent[(h, w)] = (prev, edge) records
-    the last strict improvement of w at level h.  Edges are relaxed in
-    index order and only strict improvements are kept, so parent chains
-    can never revisit a vertex.  The bound is clamped to n-1, the most
-    edges a simple path can have, and the levels stop early at the first
-    one that changes nothing.  Levels 0..h and their parent entries do not
-    depend on the bound, so one table at the largest bound answers every
-    smaller one (see ``hop_levels_path``).
-    """
-    n = graph.vertex_count
-    hop_bound = min(hop_bound, max(n - 1, 0))
-    levels: list[list[Optional[int]]] = [[None] * n]
-    levels[0][u] = 0
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    for h in range(1, hop_bound + 1):
-        prev = levels[-1]
-        cur = list(prev)
-        for idx, e in enumerate(graph.edges):
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                if prev[a] is not None:
-                    nw = prev[a] + weight[idx]
-                    if cur[b] is None or nw < cur[b]:
-                        cur[b] = nw
-                        parent[(h, b)] = (a, idx)
-        if cur == prev:
-            break
-        levels.append(cur)
-    return levels, parent
-
-
-def hop_levels_walk(table: HopLevels, v: int, hop_bound: int) -> Optional[tuple[tuple, tuple]]:
-    """The (vertices, edges) of ``hop_levels_path``'s path, source first,
-    without building the Path, or None."""
-    levels, parent = table
-    h = min(max(hop_bound, 0), len(levels) - 1)
-    if levels[h][v] is None:
-        return None
-    # Walk back through levels: a missing parent entry means the value was
-    # carried over from the previous level unchanged.
-    w, vertices, edge_seq = v, [v], []
-    while h > 0:
-        if (h, w) in parent and levels[h][w] != levels[h - 1][w]:
-            a, idx = parent[(h, w)]
-            edge_seq.append(idx)
-            vertices.append(a)
-            w = a
-        h -= 1
-    return tuple(reversed(vertices)), tuple(reversed(edge_seq))
-
-
-def hop_levels_path(
-    graph: WeightedGraph, table: HopLevels, v: int, hop_bound: int
-) -> Optional[Path]:
-    """The minimum-weight path to v with at most hop_bound edges that a
-    ``hop_levels`` table of the path's source holds, or None.
-
-    Equal to ``hop_bounded_path`` at that bound whenever the table was
-    built with a bound at least as large: the walk starts at level
-    min(hop_bound, last level), which is where that call's own levels end
-    (a bound below 0 reads level 0).
-    """
-    walk = hop_levels_walk(table, v, hop_bound)
-    return None if walk is None else Path.from_edge_sequence(graph, *walk)
-
-
-def hop_bounded_path(
-    graph: WeightedGraph, u: int, v: int, hop_bound: int, weight: Sequence[int]
-) -> Optional[Path]:
-    """Minimum-weight u-v path with at most hop_bound edges, or None.
-
-    The one hop-bounded path kernel: the ``hop_levels`` table from u at
-    hop_bound, walked back from v by ``hop_levels_path``.  Callers that
-    ask one source for many targets or bounds build the table once.
-    """
-    return hop_levels_path(graph, hop_levels(graph, u, hop_bound, weight), v, hop_bound)
-
-
 def restricted_min_cost_path(
     graph: WeightedGraph, u: int, v: int, hop_bound: int
 ) -> Optional[Path]:
     """Minimum-cost u-v path with at most hop_bound edges (unit lengths only).
 
     Requires every edge length to equal 1; raises ValueError otherwise.
-    Returns None when no such path exists.  See ``hop_bounded_path``.
+    Returns None when no such path exists.  See ``star_dst.hop_bounded_path``,
+    imported here since star_dst imports this module.
     """
+    from .star_dst import hop_bounded_path
+
     if not graph.has_unit_lengths():
         raise ValueError("restricted_min_cost_path requires unit edge lengths")
     if hop_bound < 0:

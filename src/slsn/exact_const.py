@@ -43,9 +43,10 @@ Solution.build of the best union, with its canonical witness paths.  No
 function of the search refers to itself through a closure, so a solve
 leaves no reference cycle behind.  Both exact variants run
 _solve_by_budgets, whose options (_hop_options) are a pair's distinct
-hop-bounded paths, read off one core.hop_levels table per segment source,
-built once per solve at its largest budget; the variants differ only in
-the weight the table minimises (costs or lengths).  approx.approx_const's
+hop-bounded paths: the frontier at the target of the (hops, weight) label
+DP of star_dst, one star_pass per segment source on arcs set up once per
+solve at its largest budget; the variants differ only in the weight the
+labels minimise (costs or lengths).  approx.approx_const's
 options are its distinct min-dist paths.  The search adds and compares
 only the graph's integer view: chain and union costs are ints over the cost
 denominator, distance tables ints over the length denominator, and L is
@@ -74,10 +75,8 @@ from .core import (
     adjacency,
     dijkstra,
     feasibility_check,
-    hop_bounded_path,
-    hop_levels,
-    hop_levels_walk,
 )
+from .star_dst import hop_bounded_path, label_path, star_arcs, star_pass
 
 
 def length_distances(graph: WeightedGraph) -> list[list[Optional[int]]]:
@@ -96,8 +95,8 @@ def shortest_length_under_edge_budget(
 ) -> Optional[Path]:
     """Shortest-length u-v path using at most edge_budget edges.
 
-    The dual of ``restricted_min_cost_path``: levels count edges, values
-    are exact lengths.  See ``core.hop_bounded_path``.
+    The dual of ``restricted_min_cost_path``: heights count edges, costs
+    are exact lengths.  See ``star_dst.hop_bounded_path``.
     """
     if edge_budget < 0:
         raise ValueError("edge_budget must be nonnegative")
@@ -316,22 +315,18 @@ def _hop_options(
     graph: WeightedGraph, budget: int, weight: Sequence[int]
 ) -> Callable[[int, int], list[tuple[int, tuple[int, ...]]]]:
     """options(u, v): the distinct least-weight u-v paths within budget
-    edges, as (b, path edges) by rising b.  Each source gets one hop_levels
-    table, built at budget; a path is kept at each level b that improves v
-    and walked back there (hop_levels_walk).  It then has exactly b edges,
-    since one with fewer would sit in level b-1 at that weight, and b is
-    the least budget that yields it: a level that does not improve v walks
-    to the path of the level below."""
-    table = functools.cache(lambda u: hop_levels(graph, u, budget, weight))
+    edges, as (b, path edges) by rising b.  They are the frontier at v of
+    the (hops, weight) label DP from u: one star_pass per source, on arcs
+    set up once.  A label of height b has exactly b edges, and b is the
+    least budget that yields it: it is cheaper than every path of fewer
+    edges, and hop_bounded_path at a budget reads the last label within it."""
+    arcs = star_arcs(graph, [1] * graph.edge_count, weight, budget, None)
+    bound = [budget] * graph.vertex_count
+    table = functools.cache(lambda u: star_pass(arcs, (u,), bound, None))
 
     @functools.cache
     def options(u: int, v: int) -> list[tuple[int, tuple[int, ...]]]:
-        levels = table(u)[0]
-        return [
-            (b, hop_levels_walk(table(u), v, b)[1])
-            for b in range(1, len(levels))
-            if levels[b][v] != levels[b - 1][v]
-        ]
+        return [(label.height, label_path(graph, v, label)[1]) for label in table(u)[(v, 1)]]
 
     return options
 

@@ -28,6 +28,7 @@ as read, and those convert them to Fractions.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import TextIO, Union
 
 from .core import (
@@ -94,13 +95,14 @@ def _instance_from_json(data: dict) -> SlsnInstance:
 
 
 def dump_instance_text(instance: SlsnInstance) -> str:
+    """The text format, each distinct length and cost (by integer view) formatted once."""
     g = instance.graph
     lines = ["slsn 1", f"{g.vertex_count} {g.edge_count} {instance.demands.size}"]
     lines.append(format_rational(instance.L))
-    for e in g.edges:
-        lines.append(
-            f"{e.u} {e.v} {format_rational(e.length)} {format_rational(e.cost)}"
-        )
+    lengths = {x: format_rational(Fraction(x, g.length_denominator)) for x in set(g.int_lengths)}
+    costs = {x: format_rational(Fraction(x, g.cost_denominator)) for x in set(g.int_costs)}
+    for e, length, cost in zip(g.edges, g.int_lengths, g.int_costs):
+        lines.append(f"{e.u} {e.v} {lengths[length]} {costs[cost]}")
     for s, t in instance.demands.pairs:
         lines.append(f"{s} {t}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""The bicriteria label DP shared by three callers, and the layered DST
+"""The bicriteria label DP shared by four callers, and the layered DST
 reduction.
 
 star_frontiers is the Dreyfus-Wagner subset DP over (vertex, terminal
@@ -17,6 +17,10 @@ terminal, the path's source, with the criteria swapped (heights are scaled
 costs held to the level budget, costs are lengths), so each vertex's last
 label is its shortest path at the least scaled cost; approx_const runs its
 halves, the set-up star_arcs once per cost vector and star_pass per source.
+The exact constant-demand solvers run it from one terminal with unit
+heights (hops) and their weight as costs: each label at v is a least-weight
+path within its height in edges and one segment option; hop_bounded_path
+reads the last one within a bound, walked back by label_path.
 
 The paper's exact algorithm reduces unit-length stars to a directed Steiner
 tree on an (L+1)-layered digraph: layer i holds a copy v(i) of every
@@ -38,6 +42,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
+    Path,
     SlsnInstance,
     Solution,
     WeightedGraph,
@@ -382,6 +387,33 @@ def tree_edges(label: Label) -> set[int]:
         elif prov[0] == "split":
             stack.extend(prov[1:])
     return out
+
+
+def label_path(graph: WeightedGraph, v: int, label: Label) -> tuple[tuple, tuple]:
+    """(vertices, edges), source first, of the path a label at v of a
+    one-terminal pass describes: its edge chain runs from v back to the
+    terminal, the path's source."""
+    vertices, edges = [v], []
+    while label.prov[0] == "edge":
+        _, idx, label = label.prov
+        e = graph.edges[idx]
+        vertices.append(e.u if e.v == vertices[-1] else e.v)
+        edges.append(idx)
+    return tuple(reversed(vertices)), tuple(reversed(edges))
+
+
+def hop_bounded_path(
+    graph: WeightedGraph, u: int, v: int, hop_bound: int, weight: Sequence
+) -> Optional[Path]:
+    """Minimum-weight u-v path with at most hop_bound edges, or None: the
+    last label at v of the label DP from u with unit heights and weight
+    (nonnegative, exact) as its costs.  A kept label is cheaper than every
+    earlier one at its vertex, so its chain never revisits a vertex."""
+    if u == v:
+        return Path.trivial(u)
+    arcs = star_arcs(graph, [1] * graph.edge_count, weight, hop_bound, None)
+    frontier = star_pass(arcs, (u,), [hop_bound] * graph.vertex_count, None)[(v, 1)]
+    return Path.from_edge_sequence(graph, *label_path(graph, v, frontier[-1])) if frontier else None
 
 
 def solve_slst(instance: SlsnInstance) -> Optional[Solution]:

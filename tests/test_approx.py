@@ -897,17 +897,79 @@ class TestExponentRange:
             while power < x:
                 power *= base
                 c += 1
+            while power / base >= x:
+                power /= base
+                c -= 1
             return c
 
         for eps in (Fraction(1, 40), Fraction(1, 16), Fraction(1, 10), Fraction(1, 8), Fraction(2, 9)):
             base = 1 + eps
             for n in range(1, 41):
                 xs = (Fraction(n * n), Fraction(n * n) / (1 - 2 * eps), (Fraction(n * n) / eps) ** 2)
-                for x in xs:
+                for x in (*xs, *(1 / x for x in xs), 1 / (1 - 2 * eps), base**-3, base**3):
                     assert approx._ceil_log(base, x) == fraction_ceil_log(base, x)
                 lo = -fraction_ceil_log(base, xs[2])
                 hi = max(fraction_ceil_log(base, xs[0]) + 3, fraction_ceil_log(base, xs[1]))
                 assert approx._exponent_range(n, eps) == (lo, hi)
-        assert approx._ceil_log(Fraction(3, 2), Fraction(1, 5)) == 0
+        assert approx._ceil_log(Fraction(3, 2), Fraction(1, 5)) == -3  # (2/3)^3 >= 1/5 > (2/3)^4
         with pytest.raises(ValueError):
             approx._ceil_log(Fraction(1), Fraction(2))
+        with pytest.raises(ValueError):
+            approx._ceil_log(Fraction(3, 2), Fraction(0))
+
+
+def stepped_clamped_vectors(graph, eps, C, budget):
+    """_clamped_vectors stepping every exponent from lo, its reference."""
+    n = graph.vertex_count
+    lo, hi = approx._exponent_range(n, eps)
+    a, b = eps.numerator, eps.denominator
+    costs = graph.int_costs
+    positive = [c for c in costs if c > 0]
+    least, greatest = min(positive, default=0), max(positive, default=0)
+    clamped = tuple(budget + 1 if c > 0 else 0 for c in costs)
+    last = None
+    num = n * b * C.denominator * (a + b) ** -lo
+    den = a * C.numerator * graph.cost_denominator * b ** -lo
+    for e in range(lo, hi + 1):
+        if least * num > budget * den:
+            vec = clamped
+        else:
+            vec = tuple(min(-(-c * num // den), budget + 1) for c in costs)
+        if vec != last:
+            yield vec
+            last = vec
+        if greatest * num <= den:
+            break
+        if e < 0:
+            num //= a + b
+            den //= b
+        else:
+            num *= b
+            den *= a + b
+
+
+class TestClampedVectors:
+    def test_matches_the_stepped_grid(self):
+        # the first exponent read off the signed ceil-log yields what stepping
+        # every exponent from lo does, zero-cost edges and fractional C
+        # included; C spans bounds that clamp every edge at lo, at none, and
+        # at every exponent of the grid
+        rng = random.Random(2611)
+        led_clamped = unclamped = only_clamped = 0
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            edges = [
+                (*rng.sample(range(n), 2), 1, Fraction(rng.randint(0, 30), rng.choice([1, 2, 3, 7])))
+                for _ in range(rng.randint(1, 12))
+            ]
+            g = WeightedGraph(n, edges)
+            eps = rng.choice([Fraction(1, 40), Fraction(1, 16), Fraction(1, 10), Fraction(2, 9)])
+            budget = n * eps.denominator // eps.numerator
+            C = Fraction(rng.randint(1, 10**6), rng.choice([1, 3, 10**3, 10**9]))
+            got = list(approx._clamped_vectors(g, eps, C, budget))
+            assert got == list(stepped_clamped_vectors(g, eps, C, budget))
+            clamped = tuple(budget + 1 if c > 0 else 0 for c in g.int_costs)
+            led_clamped += got[0] == clamped and len(got) > 1
+            unclamped += got[0] != clamped
+            only_clamped += got == [clamped] and any(g.int_costs)
+        assert led_clamped >= 50 and unclamped >= 30 and only_clamped >= 20

@@ -10,7 +10,6 @@ from slsn.core import (
     DemandStatus,
     Edge,
     FeasibilityReport,
-    Path,
     SlsnInstance,
     WeightedGraph,
     _demand_searches,
@@ -19,13 +18,11 @@ from slsn.core import (
     canonical_path_assignment,
     expand_to_unit,
     feasibility_check,
-    hop_bounded_path,
-    hop_levels,
-    hop_levels_path,
-    hop_levels_walk,
     restricted_min_cost_path,
 )
+from slsn.exact_const import _hop_options
 from slsn.oracle import brute_force_restricted_path
+from slsn.star_dst import hop_bounded_path
 
 from conftest import make_instance
 
@@ -53,44 +50,6 @@ def fraction_feasibility_check(instance, edge_subset):
         length = dist.get(dst)
         statuses.append(DemandStatus(length is not None and length <= instance.L, length))
     return FeasibilityReport(tuple(statuses))
-
-
-def fraction_hop_bounded_path(graph, u, v, hop_bound, weight):
-    """hop_bounded_path with Fraction weights throughout, its reference."""
-    n = graph.vertex_count
-    hop_bound = min(hop_bound, max(n - 1, 0))
-    levels = [[None] * n]
-    levels[0][u] = Fraction(0)
-    parent = {}
-    for h in range(1, hop_bound + 1):
-        prev = levels[-1]
-        cur = list(prev)
-        for idx, e in enumerate(graph.edges):
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                if prev[a] is not None:
-                    nw = prev[a] + weight[idx]
-                    if cur[b] is None or nw < cur[b]:
-                        cur[b] = nw
-                        parent[(h, b)] = (a, idx)
-        if cur == prev:
-            break
-        levels.append(cur)
-    if levels[-1][v] is None:
-        return None
-    h = len(levels) - 1
-    w = v
-    vertices = [v]
-    edge_seq = []
-    while h > 0:
-        if (h, w) in parent and levels[h][w] != levels[h - 1][w]:
-            a, idx = parent[(h, w)]
-            edge_seq.append(idx)
-            vertices.append(a)
-            w = a
-        h -= 1
-    vertices.reverse()
-    edge_seq.reverse()
-    return Path.from_edge_sequence(graph, vertices, edge_seq)
 
 
 def tie_heavy_instance(rng, scale=1):
@@ -353,7 +312,8 @@ class TestRestrictedMinCostPath:
 class TestHopBoundedPath:
     def test_matches_fraction_reference(self):
         # integer weights over the graph's denominators pick the same path
-        # as Fraction weights, ties and zero costs included, at every bound
+        # as the label DP on Fraction weights, ties and zero costs
+        # included, at every bound
         rng = random.Random(911)
         for _ in range(60):
             g = tie_heavy_instance(rng)[0].graph
@@ -365,19 +325,18 @@ class TestHopBoundedPath:
                 for u in range(n):
                     for v in range(n):
                         for h in range(n + 1):
-                            assert hop_bounded_path(g, u, v, h, ints) == fraction_hop_bounded_path(
-                                g, u, v, h, fracs
-                            )
+                            path = hop_bounded_path(g, u, v, h, ints)
+                            assert path == hop_bounded_path(g, u, v, h, fracs)
+                            assert path is None or len(path.edges) <= h
 
     def test_one_table_per_source_matches_the_kernel(self):
-        # one hop_levels table per source, built at a bound, walks to the
-        # very Path that hop_bounded_path returns for every target and
-        # every budget up to that bound, past the level where the
-        # relaxation stops changing too (hop_levels_walk to its vertices
-        # and edges); parallel and zero-cost edges included, under both
-        # integer views
+        # the exact solvers' options, one label pass per source at a bound,
+        # are the very paths hop_bounded_path returns: each option's path
+        # at its key b, and at every budget h up to the bound the option of
+        # the largest key within h (None below the first); parallel and
+        # zero-cost edges included, under both integer views
         rng = random.Random(912)
-        parallel = zero_cost = stopped_early = 0
+        parallel = zero_cost = several = 0
         for _ in range(60):
             g = tie_heavy_instance(rng)[0].graph
             n = g.vertex_count
@@ -385,16 +344,20 @@ class TestHopBoundedPath:
             zero_cost += 0 in g.int_costs
             bound = rng.randint(0, n + 1)
             for weight in (g.int_costs, g.int_lengths):
+                options = _hop_options(g, bound, weight)
                 for u in range(n):
-                    table = hop_levels(g, u, bound, weight)
-                    stopped_early += len(table[0]) - 1 < min(bound, n - 1)
                     for v in range(n):
+                        if u == v:
+                            continue
+                        got = options(u, v)
+                        several += len(got) > 1
+                        for b, edges in got:
+                            assert hop_bounded_path(g, u, v, b, weight).edges == edges
                         for h in range(bound + 1):
-                            path = hop_levels_path(g, table, v, h)
-                            assert path == hop_bounded_path(g, u, v, h, weight)
-                            walk = hop_levels_walk(table, v, h)
-                            assert walk == (path and (path.vertices, path.edges))
-        assert parallel >= 40 and zero_cost >= 20 and stopped_early >= 150
+                            within = [edges for b, edges in got if b <= h]
+                            path = hop_bounded_path(g, u, v, h, weight)
+                            assert (path and path.edges) == (within[-1] if within else None)
+        assert parallel >= 40 and zero_cost >= 20 and several >= 80
 
 
 class TestExpandToUnit:

@@ -18,7 +18,6 @@ from slsn.core import (
     dijkstra,
     expand_to_unit,
     feasibility_check,
-    hop_bounded_path,
 )
 from slsn.core import restricted_min_cost_path
 from slsn import exact_const
@@ -36,8 +35,8 @@ from slsn.exact_const import (
     solve_unit_length,
 )
 from slsn.generators import random_instance, random_unit_cost_instance
-from slsn.oracle import brute_force_slsn
-from slsn.star_dst import solve_slst
+from slsn.oracle import brute_force_restricted_path, brute_force_slsn
+from slsn.star_dst import hop_bounded_path, solve_slst
 
 from conftest import cost_of, make_instance, scaled_instance, with_edges
 
@@ -218,6 +217,29 @@ class TestSolveUnitCost:
                 assert (sol is None) == (sol_c is None)
                 if sol is not None:
                     assert sol_c.total_cost == sol.total_cost
+
+
+class TestShortestLengthUnderEdgeBudget:
+    def test_agrees_with_oracle_on_the_swapped_graph(self):
+        # the swapped graph has unit lengths and each edge's length as its
+        # cost, so the oracle's cheapest path within h there is the
+        # shortest path within h edges here
+        rng = random.Random(1321)
+        several = 0
+        for _ in range(80):
+            graph = random_unit_cost_instance(rng, n_max=7, m_max=16, length_range=(1, 9)).graph
+            n = graph.vertex_count
+            swapped = WeightedGraph(n, [(e.u, e.v, 1, e.length) for e in graph.edges])
+            for u, v in itertools.combinations(range(n), 2):
+                lengths = set()
+                for h in range(n + 1):
+                    mine = shortest_length_under_edge_budget(graph, u, v, h)
+                    ref = brute_force_restricted_path(swapped, u, v, Fraction(h))
+                    assert (mine and mine.length) == (ref and ref.cost)
+                    assert mine is None or len(mine.edges) <= h
+                    lengths.add(mine and mine.length)
+                several += len(lengths - {None}) > 1
+        assert several >= 100
 
 
 class TestCrossSolver:
@@ -574,7 +596,7 @@ def _tie_heavy_instance(rng, unit_cost):
 
 def _reference_guesses(instance, weight):
     """The unfiltered budget guesser at the solve's budget, each key
-    resolved by core.hop_bounded_path."""
+    resolved by star_dst.hop_bounded_path."""
     graph = instance.graph
     budget = min(instance.length_cap, graph.vertex_count - 1)
     return _budget_guesses(
@@ -661,24 +683,24 @@ class TestHopOptions:
     "solve, make", [(solve_unit_length, random_instance), (solve_unit_cost, random_unit_cost_instance)]
 )
 def test_one_hop_table_per_segment_source(monkeypatch, solve, make):
-    # A solve builds one hop_levels table per segment source and walks it
-    # once per (target, level) option, where each (target, budget) key used
-    # to run its own Bellman-Ford pass.  An option is walked only at a level
-    # that improves its target, so the path has exactly that many edges.
+    # A solve runs one label pass (star_pass) per segment source and walks
+    # each label of a target's frontier once, where each (target, budget)
+    # key used to run its own search.  A label's height is its path's
+    # edge count.
     built, walked = [], []
 
-    def levels(graph, u, hop_bound, weight, real=exact_const.hop_levels):
-        built.append(u)
-        return real(graph, u, hop_bound, weight)
+    def label_pass(arcs, terminals, bound, cap, real=exact_const.star_pass):
+        built.append(terminals)
+        return real(arcs, terminals, bound, cap)
 
-    def walk(table, v, hop_bound, real=exact_const.hop_levels_walk):
-        walked.append((table[0][0].index(0), v, hop_bound))  # level 0 is 0 at the source only
-        vertices, edges = real(table, v, hop_bound)
-        assert len(edges) == hop_bound == len(vertices) - 1
+    def walk(graph, v, label, real=exact_const.label_path):
+        vertices, edges = real(graph, v, label)
+        walked.append((vertices[0], v, label.height))
+        assert len(edges) == label.height == len(vertices) - 1
         return vertices, edges
 
-    monkeypatch.setattr(exact_const, "hop_levels", levels)
-    monkeypatch.setattr(exact_const, "hop_levels_walk", walk)
+    monkeypatch.setattr(exact_const, "star_pass", label_pass)
+    monkeypatch.setattr(exact_const, "label_path", walk)
     rng = random.Random(1317)
     builds = keys = 0
     for _ in range(40):
@@ -686,8 +708,9 @@ def test_one_hop_table_per_segment_source(monkeypatch, solve, make):
         built.clear()
         walked.clear()
         solve(inst)
+        assert all(len(terminals) == 1 for terminals in built)
         assert len(built) == len(set(built)) <= inst.graph.vertex_count
-        assert set(built) == {u for u, _, _ in walked}
+        assert {u for u, in built} == {u for u, _, _ in walked}
         assert len(walked) == len(set(walked))
         builds += len(built)
         keys += len(walked)

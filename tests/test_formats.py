@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from slsn.approx import approx_const, approx_star
-from slsn.core import DemandGraph, SlsnInstance, WeightedGraph
+from slsn.core import DemandGraph, SlsnInstance, WeightedGraph, format_rational
 from slsn.formats import (
     dump_instance_json,
     dump_instance_text,
@@ -15,6 +15,7 @@ from slsn.formats import (
     solution_from_json,
     solution_to_json,
 )
+from slsn.gadgets import MccInstance, apply_poly_cost, build_case1, build_case4
 from slsn.oracle import brute_force_slsn
 
 SAMPLE = """\
@@ -41,6 +42,38 @@ def test_text_round_trip():
     inst = parse_instance(SAMPLE)
     again = parse_instance(dump_instance_text(inst))
     assert dump_instance_text(again) == dump_instance_text(inst)
+
+
+def per_edge_text(instance):
+    """dump_instance_text formatting every edge's length and cost anew."""
+    g = instance.graph
+    lines = ["slsn 1", f"{g.vertex_count} {g.edge_count} {instance.demands.size}"]
+    lines.append(format_rational(instance.L))
+    for e in g.edges:
+        lines.append(f"{e.u} {e.v} {format_rational(e.length)} {format_rational(e.cost)}")
+    lines += [f"{s} {t}" for s, t in instance.demands.pairs]
+    return "\n".join(lines) + "\n"
+
+
+def test_text_formats_each_value_as_each_edge_would():
+    mcc = MccInstance.build(3, [(0, 1), (0, 2), (1, 2)], 3, {0: 1, 1: 2, 2: 3})
+    gadgets = [build(mcc) for build in (build_case1, build_case4)]
+    gadgets += [apply_poly_cost(b, 1) for b in gadgets]
+    rng = random.Random(77)
+    rational = SlsnInstance(
+        WeightedGraph(6, [
+            (*rng.sample(range(6), 2), Fraction(rng.randint(1, 9), rng.randint(1, 6)),
+             Fraction(rng.randint(0, 9), rng.randint(1, 4)))
+            for _ in range(14)
+        ]),
+        Fraction(7, 3),
+        DemandGraph([(0, 5), (1, 4)]),
+    )
+    instances = [b.instance for b in gadgets] + [rational]
+    assert max(gadgets[-1].instance.graph.int_costs) > 1  # poly costs
+    assert rational.graph.length_denominator > 1 and rational.graph.cost_denominator > 1
+    for inst in instances:
+        assert dump_instance_text(inst) == per_edge_text(inst)
 
 
 def test_json_mirror_round_trip():
