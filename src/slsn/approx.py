@@ -103,20 +103,32 @@ def _zero_cost_edges(graph: WeightedGraph) -> set[int]:
 def _ceil_log(base: Fraction, x: Fraction) -> int:
     """Smallest integer c, of either sign, with base^c >= x (base > 1, x > 0).
 
-    base^c is held as an int pair, stepped up from c = 0 by base = a/b while
-    it falls short of x, then down while base^(c-1) still reaches x, and
-    compared with x by cross-multiplying, so no step reduces a Fraction.
+    For x > 1 this is one more than the largest k with base^k < x; for
+    x <= 1 it is -k for the largest k with base^-k >= x.  That k is found
+    on int pairs r^i = num/den, r = base or 1/base, compared with x = p/q
+    by cross-multiplying, so no step reduces a Fraction: square r until
+    r^(2^J) falls on the other side of x, then add the powers r^(2^i),
+    i = J-1 down to 0, that keep the product on x's near side.  That is
+    O(log |c|) multiplications.
     """
     if base <= 1 or x <= 0:
         raise ValueError("base must exceed 1 and x must be positive")
     a, b = base.numerator, base.denominator
     p, q = Fraction(x).as_integer_ratio()
-    c, power_num, power_den = 0, 1, 1
-    while power_num * q < p * power_den:
-        power_num, power_den, c = power_num * a, power_den * b, c + 1
-    while power_num * b * q >= p * power_den * a:
-        power_num, power_den, c = power_num * b, power_den * a, c - 1
-    return c
+    up = p > q  # x > 1, so r = base; else r = 1/base
+    if not up:
+        a, b = b, a
+    # r^i = a/b is on x's near side (the side 1 is on) when (a q < p b) == up
+    squares = [(a, b)]
+    while (a * q < p * b) == up:
+        a, b = a * a, b * b
+        squares.append((a, b))
+    k, num, den = 0, 1, 1
+    for i in range(len(squares) - 2, -1, -1):
+        a, b = squares[i]
+        if (num * a * q < p * den * b) == up:
+            k, num, den = k + (1 << i), num * a, den * b
+    return k + 1 if up else -k
 
 
 @dataclass(frozen=True)
@@ -179,12 +191,13 @@ def _exponent_range(n: int, eps: Fraction) -> tuple[int, int]:
     limit) to the value the cover argument needs, ceil of
     log_{1+eps}(n^2 / (1-2*eps)).
     """
-    base = 1 + eps
+    a, b = eps.numerator, eps.denominator  # n^2, n^2/(1-2eps), (n^2/eps)^2 built from ints
+    base, n2 = Fraction(a + b, b), n * n
     hi = max(
-        _ceil_log(base, Fraction(n) * n) + 3,
-        _ceil_log(base, Fraction(n) * n / (1 - 2 * eps)),
+        _ceil_log(base, Fraction(n2)) + 3,
+        _ceil_log(base, Fraction(n2 * b, b - 2 * a)),
     )
-    lo = -_ceil_log(base, (Fraction(n) * n / eps) ** 2)
+    lo = -_ceil_log(base, Fraction((n2 * b) ** 2, a * a))
     return lo, hi
 
 

@@ -8,7 +8,12 @@ costs as ints over graph-wide common denominators) and the instance's
 ``length_cap``, L on that view; Fractions appear only in what it returns.
 Shortest paths have one kernel here, ``dijkstra``; hop-bounded paths are
 star_dst's label DP (``star_dst.hop_bounded_path``), which
-``restricted_min_cost_path`` reads.
+``restricted_min_cost_path`` reads.  ``feasibility_check`` and
+``canonical_path_assignment`` run it per demand source on the edge subset
+series-reduced once per call (``_series_reduce``): every chain of degree-2
+vertices that are not demand endpoints becomes one arc, exact because
+weights are positive and add along a chain.  Hop-expanded gadget
+witnesses are mostly such chains.
 
 Design notes:
   - Graphs are undirected multigraphs.  Parallel edges are kept as-is; all
@@ -16,7 +21,9 @@ Design notes:
     dense 0..m-1 and stable, and they are the currency used everywhere else
     (solutions are sets of edge indices).
   - All types are immutable after construction and every operation is a pure
-    function, so instances can be shared freely across threads.
+    function, so instances can be shared freely across threads.  (A
+    DemandGraph builds its search plan on first use; two threads that race
+    to build it build the same one.)
   - Vertices may carry optional string labels.  The gadget generators use
     them to keep generated instances auditable; the solvers ignore them.
 """
@@ -191,7 +198,7 @@ class DemandGraph:
     (min, max) tuples in input order.  ``size`` is |H|, the edge count.
     """
 
-    __slots__ = ("pairs",)
+    __slots__ = ("pairs", "_plan")
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
         seen = set()
@@ -205,6 +212,7 @@ class DemandGraph:
             seen.add(key)
             built.append(key)
         self.pairs = tuple(built)
+        self._plan = None
 
     @property
     def size(self) -> int:
@@ -238,6 +246,23 @@ class DemandGraph:
             if not candidates:
                 return None
         return min(candidates)
+
+    def _search_plan(self):
+        """(ends, targets, endpoints) for ``_demand_searches``, built once.
+
+        ``ends[i]`` is demand i as (search source, other endpoint): a star
+        is searched from its root, other demands from s.  ``targets`` maps
+        each distinct source to its other endpoints, and ``endpoints`` holds
+        every demand vertex.  The pairs never change, so neither does this.
+        """
+        if self._plan is None:
+            root = self.star_root()
+            ends = tuple((t, s) if t == root else (s, t) for s, t in self.pairs)
+            targets: dict[int, list[int]] = {}
+            for src, dst in ends:
+                targets.setdefault(src, []).append(dst)
+            self._plan = ends, targets, frozenset().union(*self.pairs)
+        return self._plan
 
 
 class SlsnInstance:
@@ -417,17 +442,70 @@ def shortest_length_in_subgraph(
     return None if d is None else Fraction(d, graph.length_denominator)
 
 
+def _series_reduce(adj, kept) -> None:
+    """Series-reduce ``adj``, fresh from ``adjacency``, in place.
+
+    A vertex is kept when it is in ``kept`` or its degree is not 2.  A
+    chain is a maximal path whose inner vertices are not kept.  Each chain
+    becomes one arc per direction, ``(far end, edge entering it, summed
+    weight)``, put in place of its first edge's entry at either end; a
+    single edge is its own chain, so its entries stay as they are.  Inner
+    vertices keep their two entries, by which ``canonical_path_assignment``
+    walks an arc back to its hops.  Chains are found from their inner
+    vertices, which ``list.index`` picks out of the degree list, and each is
+    walked once, from the first of its ends met; a walked vertex's degree
+    is set to 0, so the scan passes over it.  A chain that comes back
+    to its own start becomes a self-arc, which no search ever relaxes; a
+    cycle of inner vertices alone is left as it is, out of every kept
+    vertex's reach.
+    """
+    n = len(adj)
+    degree = list(map(len, adj))
+    degree.append(2)  # a sentinel, so the scan for degree 2 ends at n
+    v = -1
+    while True:
+        v = degree.index(2, v + 1)
+        if v == n:
+            return
+        if v in kept:
+            continue
+        for w, first, _ in adj[v]:
+            if degree[w] != 2 or w in kept:
+                break
+        else:
+            continue  # both neighbours inner: the chain's ends reduce it
+        out = adj[w]
+        for pos, (x, idx, weight) in enumerate(out):  # unwalked, so w still lists first
+            if idx == first:
+                break
+        while degree[x] == 2 and x not in kept:
+            degree[x] = 0  # walked, so the scan skips it
+            (y, i, step), (z, j, other) = adj[x]
+            if i == idx:  # leave by the edge we did not come in on
+                y, i, step = z, j, other
+            x, idx, weight = y, i, weight + step
+        out[pos] = (x, idx, weight)
+        back = adj[x]
+        for q, entry in enumerate(back):
+            if entry[1] == idx:
+                back[q] = (w, first, weight)
+                break
+
+
 def _demand_searches(instance: SlsnInstance, adj) -> list[tuple[int, int, dict, dict]]:
     """Per demand: (search source, other endpoint, distances, parents).
 
+    ``adj`` is series-reduced first, in place (``_series_reduce``), with
+    every demand endpoint kept, so the searches settle kept vertices only
+    and a parent ``(u, idx)`` is a reduced arc from u that enters its
+    vertex by edge idx.  The reduction is exact: weights are positive, so
+    shortest paths are simple; a simple path between kept vertices enters
+    a chain only to run through all of it; and weights add along a chain.
     One Dijkstra runs per distinct source.  A star is searched from its
     root, so it needs one run; other demands are searched from s.
     """
-    root = instance.demands.star_root()
-    ends = [(t, s) if t == root else (s, t) for s, t in instance.demands.pairs]
-    targets: dict[int, list[int]] = {}
-    for src, dst in ends:
-        targets.setdefault(src, []).append(dst)
+    ends, targets, endpoints = instance.demands._search_plan()
+    _series_reduce(adj, endpoints)
     runs = {src: dijkstra(adj, {src: 0}, dsts) for src, dsts in targets.items()}
     return [(src, dst, *runs[src]) for src, dst in ends]
 
@@ -438,7 +516,12 @@ def feasibility_check(instance: SlsnInstance, edge_subset: Iterable[int]) -> Fea
     Demand i is satisfied iff the subgraph contains an s_i-t_i path of length
     at most L; each reported length is the exact shortest-path length in the
     subgraph (None when disconnected).  The search runs on the graph's
-    integer lengths and compares them with ``instance.length_cap``.
+    integer lengths and compares them with ``instance.length_cap``.  One
+    Dijkstra runs per distinct source, on the subgraph series-reduced with
+    the demand endpoints kept (``_demand_searches``): each chain of degree-2
+    vertices is one arc weighted by its summed length, and since lengths
+    are positive a shortest path between kept vertices crosses a chain
+    whole, so every reported length is the unreduced subgraph's.
     """
     graph = instance.graph
     adj = adjacency(graph, edge_subset, graph.int_lengths)
@@ -535,7 +618,13 @@ def canonical_path_assignment(
     sorted subset, the weight is (length << b) + 2^(b-1-r).  The tie bits
     of a simple path sum to less than 2^b, so integer order is the (length,
     tie-break) order and key >> b is the shortest length, which decides
-    feasibility.  One Dijkstra runs per distinct source.
+    feasibility.  One Dijkstra runs per distinct source, on the subgraph
+    series-reduced with the demand endpoints kept (``_demand_searches``):
+    each chain of degree-2 vertices is one arc whose key is the sum of its
+    edges' keys.  The keys are positive and additive, so the unique least
+    key path between kept vertices crosses each chain it uses whole, and
+    expanding its arcs back into their hops gives the unreduced search's
+    path.
 
     Raises ValueError when edge_subset is not feasible or holds an index
     outside 0..m-1.
@@ -546,8 +635,10 @@ def canonical_path_assignment(
         raise ValueError("invalid edge index in edge_subset")
     b, lengths = len(ranked), graph.int_lengths
     weight = {idx: (lengths[idx] << b) + (1 << (b - 1 - rank)) for rank, idx in enumerate(ranked)}
+    adj = adjacency(graph, ranked, weight)
+    edges = graph.edges
     paths = []
-    for src, dst, dist, parent in _demand_searches(instance, adjacency(graph, ranked, weight)):
+    for src, dst, dist, parent in _demand_searches(instance, adj):
         if dst not in dist or dist[dst] >> b > instance.length_cap:
             raise ValueError("canonical_path_assignment requires a feasible edge subset")
         vertices = [dst]
@@ -555,9 +646,14 @@ def canonical_path_assignment(
         w = dst
         while w != src:
             a, idx = parent[w]
-            vertices.append(a)
-            edge_seq.append(idx)
-            w = a
+            while True:  # back along the reduced arc a -> w, which enters w by idx
+                w = edges[idx].other(w)
+                vertices.append(w)
+                edge_seq.append(idx)
+                if w == a:
+                    break
+                (_, i, _), (_, j, _) = adj[w]  # an inner vertex: leave by its other edge
+                idx = j if i == idx else i
         if src < dst:  # pairs are stored as (s, t) with s < t; paths run s to t
             vertices.reverse()
             edge_seq.reverse()

@@ -918,6 +918,31 @@ class TestExponentRange:
             approx._ceil_log(Fraction(3, 2), Fraction(0))
 
 
+    def test_galloping_ceil_log_matches_stepping(self):
+        def stepped_ceil_log(base, x):
+            # one int multiplication per exponent, up from 0 and then down
+            a, b = base.numerator, base.denominator
+            p, q = x.as_integer_ratio()
+            c, num, den = 0, 1, 1
+            while num * q < p * den:
+                num, den, c = num * a, den * b, c + 1
+            while num * b * q >= p * den * a:
+                num, den, c = num * b, den * a, c - 1
+            return c
+
+        rng = random.Random(26)
+        tiny = Fraction(1, 10**40)
+        for eps in (Fraction(1, 40), Fraction(1, 16), Fraction(1, 4), Fraction(2, 9), Fraction(7, 3)):
+            base = 1 + eps
+            xs = [Fraction(1), Fraction(1, 3), Fraction(5, 2), tiny, 1 / tiny]
+            for c in (*range(-40, 41), -300, -257, -256, -255, 255, 256, 257, 300):
+                power = base**c
+                xs += [y for y in (power, power + tiny, power - tiny, power * (1 + tiny), power / (1 + tiny)) if y > 0]
+            xs += [Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9)) for _ in range(200)]
+            for x in xs:
+                assert approx._ceil_log(base, x) == stepped_ceil_log(base, x), (base, x)
+
+
 def stepped_clamped_vectors(graph, eps, C, budget):
     """_clamped_vectors stepping every exponent from lo, its reference."""
     n = graph.vertex_count

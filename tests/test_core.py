@@ -10,17 +10,20 @@ from slsn.core import (
     DemandStatus,
     Edge,
     FeasibilityReport,
+    Path,
     SlsnInstance,
     WeightedGraph,
     _demand_searches,
     adjacency,
     as_fraction,
     canonical_path_assignment,
+    dijkstra,
     expand_to_unit,
     feasibility_check,
     restricted_min_cost_path,
 )
 from slsn.exact_const import _hop_options
+from slsn.gadgets import MccInstance, build_case1, build_case2, build_case3, build_case4, witness_solution
 from slsn.oracle import brute_force_restricted_path
 from slsn.star_dst import hop_bounded_path
 
@@ -50,6 +53,124 @@ def fraction_feasibility_check(instance, edge_subset):
         length = dist.get(dst)
         statuses.append(DemandStatus(length is not None and length <= instance.L, length))
     return FeasibilityReport(tuple(statuses))
+
+
+def unreduced_demand_searches(instance, adj):
+    """_demand_searches without the series reduction, its reference: one
+    Dijkstra per distinct source over every vertex of the subgraph."""
+    root = instance.demands.star_root()
+    ends = [(t, s) if t == root else (s, t) for s, t in instance.demands.pairs]
+    targets = {}
+    for src, dst in ends:
+        targets.setdefault(src, []).append(dst)
+    runs = {src: dijkstra(adj, {src: 0}, dsts) for src, dsts in targets.items()}
+    return [(src, dst, *runs[src]) for src, dst in ends]
+
+
+def unreduced_feasibility_check(instance, edge_subset):
+    """feasibility_check on the unreduced subgraph, its reference."""
+    graph = instance.graph
+    adj = adjacency(graph, edge_subset, graph.int_lengths)
+    statuses = []
+    for _, dst, dist, _ in unreduced_demand_searches(instance, adj):
+        d = dist.get(dst)
+        length = None if d is None else Fraction(d, graph.length_denominator)
+        statuses.append(DemandStatus(d is not None and d <= instance.length_cap, length))
+    return FeasibilityReport(tuple(statuses))
+
+
+def unreduced_canonical_paths(instance, edge_subset):
+    """canonical_path_assignment on the unreduced subgraph with the same
+    (length << b) + 2^(b-1-rank) keys, its reference."""
+    graph = instance.graph
+    ranked = sorted(set(edge_subset))
+    if ranked and (ranked[0] < 0 or ranked[-1] >= graph.edge_count):
+        raise ValueError("invalid edge index in edge_subset")
+    b, lengths = len(ranked), graph.int_lengths
+    weight = {idx: (lengths[idx] << b) + (1 << (b - 1 - rank)) for rank, idx in enumerate(ranked)}
+    paths = []
+    for src, dst, dist, parent in unreduced_demand_searches(instance, adjacency(graph, ranked, weight)):
+        if dst not in dist or dist[dst] >> b > instance.length_cap:
+            raise ValueError("canonical_path_assignment requires a feasible edge subset")
+        vertices, edge_seq, w = [dst], [], dst
+        while w != src:
+            w, idx = parent[w]
+            vertices.append(w)
+            edge_seq.append(idx)
+        if src < dst:
+            vertices.reverse()
+            edge_seq.reverse()
+        paths.append(Path.from_edge_sequence(graph, vertices, edge_seq))
+    return paths
+
+
+def outcome(fn, instance, edge_subset):
+    """fn's result, or ("ValueError", message) when it raises ValueError."""
+    try:
+        return fn(instance, edge_subset)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def chain_heavy_instance(rng):
+    """A seeded instance that is mostly chains of degree-2 vertices.
+
+    A few branch vertices are joined by chains of 1 to 7 hops, some
+    repeated hop for hop between the same ends (equal-length parallel
+    chains, so the tie-break decides), some leaving a branch vertex and
+    coming back to it; an isolated cycle and an isolated vertex are added.
+    Demand endpoints are drawn from branch vertices, chain interiors and
+    the isolated vertex, and half the demand sets are stars.  The subset
+    drops each edge with probability 0, 1/10 or 1/4, so chains are whole
+    or cut into dangling pieces.  Returns (instance, subset, features).
+    """
+    branches = rng.randint(2, 5)
+    n = branches
+    edges = []
+    inner = []
+    features = set()
+
+    def chain(u, v, lengths):
+        nonlocal n
+        path = [u, *range(n, n + len(lengths) - 1), v]
+        n += len(lengths) - 1
+        inner.extend(path[1:-1])
+        for a, c, length in zip(path, path[1:], lengths):
+            edges.append((a, c, length, rng.randint(0, 5)))
+
+    for _ in range(rng.randint(2, 7)):
+        u = rng.randrange(branches)
+        if rng.random() < 0.15:
+            v, hops, kind = u, rng.randint(2, 5), "loop"
+        else:
+            v, hops, kind = rng.choice([w for w in range(branches) if w != u]), rng.randint(1, 7), "chain"
+        lengths = [rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)]) for _ in range(hops)]
+        copies = 2 if kind == "chain" and rng.random() < 0.3 else 1
+        for _ in range(copies):
+            chain(u, v, lengths)
+        features.add("tie" if copies == 2 else kind)
+    cycle = list(range(n, n + rng.randint(3, 5)))
+    n += len(cycle)
+    for a, c in zip(cycle, cycle[1:] + cycle[:1]):
+        edges.append((a, c, Fraction(1), 1))
+    lone = n
+    n += 1
+    g = WeightedGraph(n, edges)
+    pool = list(range(branches)) + inner
+    ends = rng.sample(pool, min(len(pool), rng.randint(2, 4)))
+    if rng.random() < 0.2:
+        ends[-1] = lone
+        features.add("lone endpoint")
+    if set(ends) & set(inner):
+        features.add("endpoint inside a chain")
+    if rng.random() < 0.5:
+        demands = [(v, ends[0]) for v in ends[1:]]
+    else:
+        demands = list(dict.fromkeys((min(a, c), max(a, c)) for a, c in zip(ends, ends[1:])))
+    L = Fraction(rng.randint(1, 24), 2)
+    drop = rng.choice([0, Fraction(1, 10), Fraction(1, 4)])
+    subset = {i for i in range(g.edge_count) if rng.random() >= drop}
+    return make_instance(g, L, demands), subset, features
 
 
 def tie_heavy_instance(rng, scale=1):
@@ -590,6 +711,83 @@ class TestCanonicalPathAssignment:
                     if set(es) <= subset
                 )
                 assert (path.edges, path.vertices) == (ref[2], ref[3])
+
+
+class TestSeriesReduction:
+    def test_matches_unreduced_searches(self):
+        # reports, canonical paths and raised errors equal the unreduced
+        # searches' on chain-heavy subgraphs, which settle fewer vertices
+        rng = random.Random(2026)
+        seen = {"chain": 0, "loop": 0, "tie": 0, "lone endpoint": 0, "endpoint inside a chain": 0,
+                "feasible": 0, "too long": 0, "disconnected": 0}
+        fewer = 0
+        for _ in range(400):
+            inst, subset, features = chain_heavy_instance(rng)
+            rep = feasibility_check(inst, subset)
+            assert rep == unreduced_feasibility_check(inst, subset)
+            assert outcome(canonical_path_assignment, inst, subset) == outcome(
+                unreduced_canonical_paths, inst, subset
+            )
+            for feature in features:
+                seen[feature] += 1
+            for d in rep.per_demand:
+                seen["disconnected" if d.length is None else "feasible" if d.satisfied else "too long"] += 1
+            g = inst.graph
+            reduced = _demand_searches(inst, adjacency(g, subset, g.int_lengths))
+            full = unreduced_demand_searches(inst, adjacency(g, subset, g.int_lengths))
+            fewer += sum(len(run[2]) for run in reduced) < sum(len(run[2]) for run in full)
+        assert min(seen.values()) >= 30, seen
+        assert fewer >= 100
+
+    def test_chain_shapes(self):
+        # 0 and 1 joined by two equal 3-hop chains (edges 0-2 and 3-5), a
+        # loop chain at 0 (edges 6-8), an isolated triangle (edges 9-11) and
+        # an isolated vertex 11; demand endpoint 3 is inside the first chain
+        g = WeightedGraph(12, [
+            (0, 2, 1, 1), (2, 3, 1, 1), (3, 1, 1, 1),
+            (0, 4, 1, 1), (4, 5, 1, 1), (5, 1, 1, 1),
+            (0, 6, 1, 1), (6, 7, 1, 1), (7, 0, 1, 1),
+            (8, 9, 1, 1), (9, 10, 1, 1), (10, 8, 1, 1),
+        ])
+        subset = set(range(12))
+        inst = make_instance(g, 3, [(0, 1), (1, 3)])
+        paths = canonical_path_assignment(inst, subset)
+        # the tie goes to the higher edge indices, whose tie-break bits are smaller
+        assert [(p.vertices, p.edges) for p in paths] == [((0, 4, 5, 1), (3, 4, 5)), ((1, 3), (2,))]
+        assert [d.length for d in feasibility_check(inst, subset).per_demand] == [3, 1]
+        lone = make_instance(g, 3, [(0, 1), (0, 11)])
+        assert feasibility_check(lone, subset) == unreduced_feasibility_check(lone, subset)
+        assert feasibility_check(lone, subset).per_demand[1].length is None
+        with pytest.raises(ValueError, match="feasible edge subset"):
+            canonical_path_assignment(lone, subset)
+
+    def test_errors_match_unreduced(self, triangle_unit):
+        # infeasible, disconnected and invalid-index subsets raise the same
+        # ValueError as the unreduced searches
+        inst = make_instance(triangle_unit, 1, [(0, 2)])
+        cases = [
+            (canonical_path_assignment, unreduced_canonical_paths, {0, 1}),  # too long
+            (canonical_path_assignment, unreduced_canonical_paths, {0}),  # disconnected
+            (canonical_path_assignment, unreduced_canonical_paths, {-1}),
+            (canonical_path_assignment, unreduced_canonical_paths, {0, 3}),
+            (feasibility_check, unreduced_feasibility_check, {99}),
+            (feasibility_check, unreduced_feasibility_check, {0, -1}),
+        ]
+        for fn, ref, subset in cases:
+            got = outcome(fn, inst, subset)
+            assert got[0] == "ValueError" and got == outcome(ref, inst, subset)
+
+    @pytest.mark.parametrize(
+        "build, k",
+        [(build_case1, 3), (build_case2, 3), (build_case3, 3), (build_case4, 3), (build_case4, 4)],
+    )
+    def test_gadget_witnesses_match_unreduced(self, build, k):
+        mcc = MccInstance.build(k, list(combinations(range(k), 2)), k, {v: v + 1 for v in range(k)})
+        bundle = build(mcc)
+        inst, subset = bundle.instance, witness_solution(bundle, range(k)).edge_subset
+        rep = feasibility_check(inst, subset)
+        assert rep.feasible and rep == unreduced_feasibility_check(inst, subset)
+        assert canonical_path_assignment(inst, subset) == unreduced_canonical_paths(inst, subset)
 
 
 def _pairwise_consistent(paths):
