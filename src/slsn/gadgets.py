@@ -17,10 +17,18 @@ budget makes those choices consistent exactly when a clique exists.  Case
 length-4 / length-7 edge families.  Case 6 embeds any hard demand graph
 by padding a concrete pattern with fresh length-L paths.
 
+Where each shape lives.  _add_selectors writes the selector layer
+root -> z_{i,j} -> z_e -> x-slot for both skeletons (E1/E2/E3 in cases
+1-4, E11/E12/E13 in case 5); _build_star_skeleton and _case5_base add the
+rest of each.  _FORMS holds the canonical role sequence of every demand
+kind with a single route, and verify_structure reads each path against
+it from either end, so a path may start at either demand endpoint.
+
 Witnesses.  A multicolored clique picks one base-edge path per demand
-(_witness_base_paths), built from a few shared chains: root to leaf, and
-the per-color zig-zag.  The witness is its paths: its edge set is their
-union, so each case describes its witness exactly once.
+(_witness_base_paths), built from a few shared chains: the selector walk
+(the same for both skeletons), and the per-color zig-zag.  The witness is
+its paths: its edge set is their union, so each case describes its
+witness exactly once.
 
 Unit flavor: every base edge costs its length, so after hop expansion all
 edges are unit-length unit-cost.  Poly flavor (apply_poly_cost) re-costs
@@ -33,6 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from .core import (
@@ -74,6 +83,10 @@ def f_iter(i: int, t: int, j: int) -> int:
     for _ in range(t):
         j = f_next(i, j)
     return j
+
+
+def _sorted_pair(u: int, v: int) -> tuple[int, int]:
+    return (min(u, v), max(u, v))
 
 
 @dataclass(frozen=True)
@@ -132,6 +145,7 @@ class _BaseGadget:
     demand_origins: list[tuple] = field(default_factory=list)  # (kind, data) per demand
     _index: dict = field(default_factory=dict)  # (kind, key) -> vertex id
     _eindex: dict = field(default_factory=dict)  # (family, key) -> edge id
+    selectors: tuple[str, ...] = ()  # the three selector-layer families, see _add_selectors
 
     @property
     def extra_demand_count(self) -> int:
@@ -147,6 +161,12 @@ class _BaseGadget:
         self.roles.append((kind, key))
         self._index[(kind, key)] = vid
         return vid
+
+    def add_layer(self, kind: str, name: str, keys: Iterable) -> None:
+        """One vertex per key, labelled name_{a,b} for pair keys, else name_key."""
+        for key in keys:
+            tail = "{%s,%s}" % key if isinstance(key, tuple) else key
+            self.add_vertex(kind, key, f"{name}_{tail}")
 
     def add_edge(self, family: str, key, u: int, v: int, length: int) -> int:
         idx = len(self.edges)
@@ -187,57 +207,48 @@ class GadgetBundle:
 # skeleton shared by cases 1-4
 
 
+def _slots(mcc: MccInstance) -> list[tuple[int, int]]:
+    """x-slot keys (v, j): each MCC vertex v with each color j but its own."""
+    col = mcc.coloring
+    return [(v, j) for v in range(mcc.n) for j in range(1, mcc.k + 1) if j != col[v]]
+
+
+def _add_selectors(
+    base: _BaseGadget, root: int, families: tuple[str, str, str], first_len: int, last_len: int
+) -> None:
+    """The selector layer root -> z_{i,j} -> z_e -> x_{u,col v} of both skeletons."""
+    pair_fam, edge_fam, slot_fam = families
+    base.selectors = families
+    col = base.mcc.coloring
+    for pair in combinations(range(1, base.k + 1), 2):
+        base.add_edge(pair_fam, pair, root, base.vertex("z_pair", pair), first_len)
+    for e in base.mcc.edges:
+        ze = base.vertex("z_edge", e)
+        z_pair = base.vertex("z_pair", _sorted_pair(col[e[0]], col[e[1]]))
+        base.add_edge(edge_fam, e, z_pair, ze, 1)
+        for u, v in (e, e[::-1]):
+            base.add_edge(slot_fam, (e, u, col[v]), ze, base.vertex("x", (u, col[v])), last_len)
+
+
 def _build_star_skeleton(base: _BaseGadget, e1_length: int) -> None:
     """Vertices and edge families of the G_k^* construction."""
     mcc, k = base.mcc, base.k
     mcc.require_nonempty_classes()
-    base.add_vertex("r", None, "r")
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            base.add_vertex("z_pair", (i, j), f"z_{{{i},{j}}}")
-    for e in mcc.edges:
-        base.add_vertex("z_edge", e, f"ze_{{{e[0]},{e[1]}}}")
-    for v in range(mcc.n):
-        for j in range(1, k + 1):
-            if j != mcc.coloring[v]:
-                base.add_vertex("x", (v, j), f"x_{{{v},{j}}}")
-    for v in range(mcc.n):
-        for j in range(1, k + 1):
-            if j != mcc.coloring[v]:
-                base.add_vertex("xp", (v, j), f"x'_{{{v},{j}}}")
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i != j:
-                base.add_vertex("l", (i, j), f"l_{{{i},{j}}}")
-    for i in range(k + 1):
-        base.add_vertex("y", i, f"y_{i}")
+    col, slots = mcc.coloring, _slots(mcc)
+    r = base.add_vertex("r", None, "r")
+    base.add_layer("z_pair", "z", combinations(range(1, k + 1), 2))
+    base.add_layer("z_edge", "ze", mcc.edges)
+    base.add_layer("x", "x", slots)
+    base.add_layer("xp", "x'", slots)
+    base.add_layer("l", "l", _leaf_pairs(k))
+    base.add_layer("y", "y", range(k + 1))
 
-    r = base.vertex("r", None)
     long_len = 2 * k * k - 2
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            base.add_edge("E1", (i, j), r, base.vertex("z_pair", (i, j)), e1_length)
-    col = mcc.coloring
-    for e in mcc.edges:
-        u, v = e
-        pair = (min(col[u], col[v]), max(col[u], col[v]))
-        ze = base.vertex("z_edge", e)
-        base.add_edge("E2", e, base.vertex("z_pair", pair), ze, 1)
-        base.add_edge("E3", (e, u, col[v]), ze, base.vertex("x", (u, col[v])), long_len)
-        base.add_edge("E3", (e, v, col[u]), ze, base.vertex("x", (v, col[u])), long_len)
-    for v in range(mcc.n):
-        for j in range(1, k + 1):
-            if j != col[v]:
-                base.add_edge(
-                    "E4", (v, j), base.vertex("x", (v, j)), base.vertex("xp", (v, j)), 1
-                )
-                base.add_edge(
-                    "E5",
-                    (v, j),
-                    base.vertex("xp", (v, j)),
-                    base.vertex("l", (col[v], j)),
-                    long_len,
-                )
+    _add_selectors(base, r, ("E1", "E2", "E3"), e1_length, long_len)
+    for v, j in slots:
+        xp = base.vertex("xp", (v, j))
+        base.add_edge("E4", (v, j), base.vertex("x", (v, j)), xp, 1)
+        base.add_edge("E5", (v, j), xp, base.vertex("l", (col[v], j)), long_len)
     for i in range(1, k + 1):
         last_j = f_iter(i, k - 1, 0)
         for v in mcc.color_class(i):
@@ -247,22 +258,14 @@ def _build_star_skeleton(base: _BaseGadget, e1_length: int) -> None:
             base.add_edge(
                 "Exy", (i, v), base.vertex("xp", (v, last_j)), base.vertex("y", i), 3
             )
-    for v in range(mcc.n):
-        cv = col[v]
-        last_j = f_iter(cv, k - 1, 0)
-        for j in range(1, k + 1):
-            if j != cv and j != last_j:
-                base.add_edge(
-                    "Exx",
-                    (v, j),
-                    base.vertex("xp", (v, j)),
-                    base.vertex("x", (v, f_next(cv, j))),
-                    3,
-                )
+    for v, j in slots:
+        if j != f_iter(col[v], k - 1, 0):
+            x_next = base.vertex("x", (v, f_next(col[v], j)))
+            base.add_edge("Exx", (v, j), base.vertex("xp", (v, j)), x_next, 3)
 
 
 def _leaf_pairs(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+    return list(permutations(range(1, k + 1), 2))
 
 
 def _star_case_base(mcc: MccInstance, case_tag: HardCase) -> _BaseGadget:
@@ -300,11 +303,11 @@ def _case4_base(mcc: MccInstance) -> _BaseGadget:
     base = _BaseGadget(HardCase.H_KK, k, 4 * k * k, mcc)
     _build_star_skeleton(base, e1_length=1)
     r = base.vertex("r", None)
-    for i, j in _leaf_pairs(k):
-        lp = base.add_vertex("lp", (i, j), f"l'_{{{i},{j}}}")
-        base.add_edge("E0", (i, j), lp, r, 1)
-    for i, j in _leaf_pairs(k):
-        base.add_demand("match", (i, j), base.vertex("lp", (i, j)), base.vertex("l", (i, j)))
+    base.add_layer("lp", "l'", _leaf_pairs(k))
+    for pair in _leaf_pairs(k):
+        base.add_edge("E0", pair, base.vertex("lp", pair), r, 1)
+    for pair in _leaf_pairs(k):
+        base.add_demand("match", pair, base.vertex("lp", pair), base.vertex("l", pair))
     base.add_demand("ypath", None, base.vertex("y", 0), base.vertex("y", k))
     return base
 
@@ -365,55 +368,29 @@ def _case5_base(
     k = mcc.k
     base = _BaseGadget(HardCase.H_2K, k, 7, mcc)
     mcc.require_nonempty_classes()
-    col = mcc.coloring
-    base.add_vertex("r1", None, "r_1")
-    base.add_vertex("r2", None, "r_2")
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            base.add_vertex("z_pair", (i, j), f"z_{{{i},{j}}}")
-    for i in range(1, k + 1):
-        base.add_vertex("ycol", i, f"y_{i}")
-    for e in mcc.edges:
-        base.add_vertex("z_edge", e, f"ze_{{{e[0]},{e[1]}}}")
-    for v in range(mcc.n):
-        base.add_vertex("yv", v, f"yv_{v}")
-    for v in range(mcc.n):
-        for j in range(1, k + 1):
-            if j != col[v]:
-                base.add_vertex("x", (v, j), f"x_{{{v},{j}}}")
-    for i, j in _leaf_pairs(k):
-        base.add_vertex("l", (i, j), f"l_{{{i},{j}}}")
+    col, lp = mcc.coloring, _leaf_pairs(k)
+    r1 = base.add_vertex("r1", None, "r_1")
+    r2 = base.add_vertex("r2", None, "r_2")
+    base.add_layer("z_pair", "z", combinations(range(1, k + 1), 2))
+    base.add_layer("ycol", "y", range(1, k + 1))
+    base.add_layer("z_edge", "ze", mcc.edges)
+    base.add_layer("yv", "yv", range(mcc.n))
+    base.add_layer("x", "x", _slots(mcc))
+    base.add_layer("l", "l", lp)
 
-    r1 = base.vertex("r1", None)
-    r2 = base.vertex("r2", None)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            base.add_edge("E11", (i, j), r1, base.vertex("z_pair", (i, j)), 1)
-    for e in mcc.edges:
-        u, v = e
-        pair = (min(col[u], col[v]), max(col[u], col[v]))
-        ze = base.vertex("z_edge", e)
-        base.add_edge("E12", e, base.vertex("z_pair", pair), ze, 1)
-        base.add_edge("E13", (e, u, col[v]), ze, base.vertex("x", (u, col[v])), 1)
-        base.add_edge("E13", (e, v, col[u]), ze, base.vertex("x", (v, col[u])), 1)
+    _add_selectors(base, r1, ("E11", "E12", "E13"), 1, 1)
     for i in range(1, k + 1):
         base.add_edge("E21", i, r2, base.vertex("ycol", i), 1)
     for v in range(mcc.n):
-        base.add_edge("E22", v, base.vertex("ycol", col[v]), base.vertex("yv", v), 1)
+        yv = base.vertex("yv", v)
+        base.add_edge("E22", v, base.vertex("ycol", col[v]), yv, 1)
         for j in range(1, k + 1):
             if j != col[v]:
-                base.add_edge(
-                    "E23", (v, j), base.vertex("yv", v), base.vertex("x", (v, j)), 1
-                )
-                base.add_edge(
-                    "Exl", (v, j), base.vertex("x", (v, j)), base.vertex("l", (col[v], j)), 4
-                )
-    lp = _leaf_pairs(k)
-    for a_i, pa in enumerate(lp):
-        for pb in lp[a_i + 1 :]:
-            base.add_edge(
-                "Ell", (pa, pb), base.vertex("l", pa), base.vertex("l", pb), 7
-            )
+                x = base.vertex("x", (v, j))
+                base.add_edge("E23", (v, j), yv, x, 1)
+                base.add_edge("Exl", (v, j), x, base.vertex("l", (col[v], j)), 4)
+    for pa, pb in combinations(lp, 2):
+        base.add_edge("Ell", (pa, pb), base.vertex("l", pa), base.vertex("l", pb), 7)
 
     r1_h, r2_h, big = side
     big_slot = {h: lp[i] for i, h in enumerate(big)}
@@ -517,12 +494,7 @@ def _base_costs(base: _BaseGadget, flavor: CostFlavor, eps: Optional[Fraction]) 
     if flavor is CostFlavor.UNIT:
         return costs
     big = Fraction(4 * k**4)
-    if base.case_tag in (
-        HardCase.H_K0_STAR,
-        HardCase.H_K1_STAR,
-        HardCase.H_K2_STAR,
-        HardCase.H_KK,
-    ):
+    if base.case_tag is not HardCase.H_2K:
         for idx, fam in enumerate(base.families):
             if fam in ("E2", "E4"):
                 costs[idx] = big
@@ -685,13 +657,9 @@ def _check_clique(mcc: MccInstance, clique: Iterable[int]) -> dict[int, int]:
     edges = set(mcc.edges)
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            if _mcc_key(vs[i], vs[j]) not in edges:
+            if _sorted_pair(vs[i], vs[j]) not in edges:
                 raise GadgetError(f"clique misses edge ({vs[i]},{vs[j]})")
     return by_color
-
-
-def _mcc_key(u: int, v: int) -> tuple[int, int]:
-    return (min(u, v), max(u, v))
 
 
 def _witness_base_paths(base: _BaseGadget, by_color: dict[int, int]) -> list[list[int]]:
@@ -699,35 +667,20 @@ def _witness_base_paths(base: _BaseGadget, by_color: dict[int, int]) -> list[lis
     k = base.k
     eid = base.edge_id
 
+    def selector(i: int, j: int) -> list[int]:
+        """root -> x_{v_i, j} through the clique edge of colors i and j."""
+        pair_fam, edge_fam, slot_fam = base.selectors
+        e = _sorted_pair(by_color[i], by_color[j])
+        slot = eid(slot_fam, (e, by_color[i], j))
+        return [eid(pair_fam, _sorted_pair(i, j)), eid(edge_fam, e), slot]
+
     def leaf_chain(i: int, j: int) -> list[int]:
-        """r -> l_{i,j} through the clique edge of colors i and j."""
-        e = _mcc_key(by_color[i], by_color[j])
-        return [
-            eid("E1", (min(i, j), max(i, j))),
-            eid("E2", e),
-            eid("E3", (e, by_color[i], j)),
-            eid("E4", (by_color[i], j)),
-            eid("E5", (by_color[i], j)),
-        ]
+        """r -> l_{i,j}: the selector, then x -> x' -> l."""
+        return selector(i, j) + [eid("E4", (by_color[i], j)), eid("E5", (by_color[i], j))]
 
-    def bip1(i: int, j: int) -> list[int]:
-        """r_1 -> l_{i,j} through the clique edge of colors i and j."""
-        e = _mcc_key(by_color[i], by_color[j])
-        return [
-            eid("E11", (min(i, j), max(i, j))),
-            eid("E12", e),
-            eid("E13", (e, by_color[i], j)),
-            eid("Exl", (by_color[i], j)),
-        ]
-
-    def bip2(i: int, j: int) -> list[int]:
-        """r_2 -> l_{i,j} through the clique vertex of color i."""
-        return [
-            eid("E21", i),
-            eid("E22", by_color[i]),
-            eid("E23", (by_color[i], j)),
-            eid("Exl", (by_color[i], j)),
-        ]
+    def r2_walk(i: int, j: int) -> list[int]:
+        """r_2 -> x_{v_i, j} through the clique vertex of color i."""
+        return [eid("E21", i), eid("E22", by_color[i]), eid("E23", (by_color[i], j))]
 
     def zigzag(i: int) -> list[int]:
         v = by_color[i]
@@ -751,19 +704,16 @@ def _witness_base_paths(base: _BaseGadget, by_color: dict[int, int]) -> list[lis
         elif kind == "ypath":
             paths.append([b for i in range(1, k + 1) for b in zigzag(i)])
         elif kind == "ry0":
-            paths.append(leaf_chain(1, 2)[:3] + [eid("Eyx", (1, by_color[1]))])
+            paths.append(selector(1, 2) + [eid("Eyx", (1, by_color[1]))])
         elif kind == "ryk":
             paths.append(leaf_chain(k, k - 1)[:4] + [eid("Exy", (k, by_color[k]))])
-        elif kind == "bip1":
-            paths.append(bip1(*data))
-        elif kind == "bip2":
-            paths.append(bip2(*data))
+        elif kind in ("bip1", "bip2"):
+            head = selector(*data) if kind == "bip1" else r2_walk(*data)
+            paths.append(head + [eid("Exl", (by_color[data[0]], data[1]))])
         elif kind == "r1r2":
-            paths.append(bip1(1, 2)[:3] + bip2(1, 2)[:3][::-1])
-        elif kind == "ll":
-            paths.append([eid("Ell", data)])
-        elif kind == "extra":
-            paths.append([eid("extra", data)])
+            paths.append(selector(1, 2) + r2_walk(1, 2)[::-1])
+        elif kind in ("ll", "extra"):
+            paths.append([eid("Ell" if kind == "ll" else "extra", data)])
         else:
             raise AssertionError(f"unknown demand origin {kind}")
     return paths
@@ -823,7 +773,7 @@ def witness_solution(bundle: GadgetBundle, clique: Iterable[int]) -> Solution:
 @dataclass(frozen=True)
 class StructureCheck:
     name: str
-    demand: tuple[int, int]
+    demand: Optional[tuple[int, int]]  # None for a check on the whole solution
     ok: bool
     detail: str
 
@@ -840,111 +790,64 @@ class StructureReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _milestones(bundle: GadgetBundle, path: Path) -> list[int]:
-    """Base-gadget vertices along an expanded path, in order."""
-    n_base = len(bundle.base.labels)
-    return [v for v in path.vertices if v < n_base]
+# Canonical role sequence of each single-route demand kind: the base vertices
+# its path visits, one edge per step, from the end whose role comes first.
+_FORMS = {
+    "leaf": ("r", "z_pair", "z_edge", "x", "xp", "l"),
+    "match": ("lp", "r", "z_pair", "z_edge", "x", "xp", "l"),
+    "bip1": ("r1", "z_pair", "z_edge", "x", "l"),
+    "bip2": ("r2", "ycol", "yv", "x", "l"),
+    "ll": ("l", "l"),
+}
 
 
 def verify_structure(bundle: GadgetBundle, solution: Solution) -> StructureReport:
     """Check each witness path against its claimed canonical form.
 
-    Cases 1-4: leaf paths must step one edge per layer and total exactly
-    4k^2; the y0-yk path must avoid E1/E2/E3/E5 entirely and decompose
-    into k zig-zag subpaths of length 4k, one per color.  Case 5: each
-    root-leaf path walks its four levels (total 7) and every leaf-leaf
-    demand rides its single direct edge.  Failures are reported, never
-    raised.
+    The solution needs exactly one path per demand.  A path of a kind in
+    _FORMS, read from either end, must visit that role sequence and be
+    exactly L long (4k^2 in cases 1-4, 7 in case 5), and its x-slot must
+    carry the demand's leaf (i, j).  The y0-yk path must avoid E1/E2/E3/E5
+    and decompose into k zig-zag subpaths of length 4k, one per color; a
+    pad demand rides its own L-long edge; the r-y0, r-yk and r1-r2 demands
+    need only stay within L.  Failures are reported, never raised.
     """
-    checks: list[StructureCheck] = []
     base = bundle.base
-    k = base.k
-    roles = base.roles
-    fam_of = bundle.edge_family
-
-    def role(v: int) -> tuple:
-        return roles[v] if v < len(roles) else ("hop", None)
-
-    for demand, origin, path in zip(
-        bundle.instance.demands.pairs, base.demand_origins, solution.witness_paths
-    ):
-        kind = origin[0]
-        ms = _milestones(bundle, path)
-        if path.vertices[0] != ms[0] or role(ms[0])[0] == "hop":
-            ms = list(reversed(ms))
-        kinds = [role(v)[0] for v in ms]
-        if kind in ("leaf", "match"):
-            i, j = origin[1]
-            want = ["r", "z_pair", "z_edge", "x", "xp", "l"]
-            if kind == "match":
-                want = ["lp"] + want
-            ok = kinds == want and path.length == 4 * k * k
-            detail = f"layers {kinds}, length {path.length}"
-            if ok:
-                # the x-slot must carry color i and leaf slot j
-                x_v, x_j = role(ms[want.index("x")])[1]
-                ok = base.mcc.coloring[x_v] == i and x_j == j
-                e_key = role(ms[want.index("z_edge")])[1]
-                ok = ok and x_v in e_key
-                detail += f", x=({x_v},{x_j}), e={e_key}"
+    roles, fam_of = base.roles, bundle.edge_family
+    demands, paths = bundle.instance.demands.pairs, solution.witness_paths
+    checks: list[StructureCheck] = []
+    if len(paths) != len(demands):
+        detail = f"{len(paths)} paths for {len(demands)} demands"
+        checks.append(StructureCheck("one witness path per demand", None, False, detail))
+    for demand, (kind, data), path in zip(demands, base.demand_origins, paths):
+        form = _FORMS.get(kind)
+        if form is not None:
+            ms = [v for v in path.vertices if v < len(roles)]
+            if ms and roles[ms[0]][0] != form[0]:
+                ms.reverse()
+            kinds = tuple(roles[v][0] for v in ms)
+            ok = kinds == form and path.length == base.L
+            detail = f"layers {list(kinds)}, length {path.length}"
+            if ok and "x" in form:
+                v, j = roles[ms[form.index("x")]][1]
+                ok = (base.mcc.coloring[v], j) == data
+                if "z_edge" in form:
+                    ok = ok and v in roles[ms[form.index("z_edge")]][1]
+                detail += f", x=({v},{j})"
             checks.append(StructureCheck(f"{kind}-path form", demand, ok, detail))
         elif kind == "ypath":
-            bad_fams = {"E1", "E2", "E3", "E5"}
-            touched = sorted({fam_of[e] for e in path.edges} & bad_fams)
-            checks.append(
-                StructureCheck(
-                    "y-path avoids E1/E2/E3/E5",
-                    demand,
-                    not touched,
-                    f"families seen: {touched or 'none'}",
-                )
-            )
-            ok, detail = _check_zigzag(bundle, path, k)
+            touched = sorted({fam_of[e] for e in path.edges} & {"E1", "E2", "E3", "E5"})
+            detail = f"families seen: {touched or 'none'}"
+            checks.append(StructureCheck("y-path avoids E1/E2/E3/E5", demand, not touched, detail))
+            ok, detail = _check_zigzag(bundle, path, base.k)
             checks.append(StructureCheck("y-path zig-zag decomposition", demand, ok, detail))
-        elif kind in ("ry0", "ryk"):
-            ok = path.length <= 4 * k * k
-            checks.append(
-                StructureCheck(
-                    f"{kind} within bound", demand, ok, f"length {path.length}"
-                )
-            )
-        elif kind in ("bip1", "bip2"):
-            want = (
-                ["r1", "z_pair", "z_edge", "x", "l"]
-                if kind == "bip1"
-                else ["r2", "ycol", "yv", "x", "l"]
-            )
-            ok = kinds == want and path.length == 7
-            checks.append(
-                StructureCheck(
-                    f"{kind} level form", demand, ok, f"layers {kinds}, length {path.length}"
-                )
-            )
-        elif kind == "ll":
-            ok = (
-                kinds == ["l", "l"]
-                and len(path.edges) > 0
-                and all(fam_of[e] == "Ell" for e in path.edges)
-                and path.length == 7
-            )
-            checks.append(
-                StructureCheck("leaf-leaf direct edge", demand, ok, f"layers {kinds}")
-            )
-        elif kind == "r1r2":
-            ok = path.length <= 7
-            checks.append(
-                StructureCheck("r1-r2 within bound", demand, ok, f"length {path.length}")
-            )
         elif kind == "extra":
             ok = all(fam_of[e] == "extra" for e in path.edges) and path.length == base.L
-            checks.append(
-                StructureCheck(
-                    "pad demand rides its own L-hop path",
-                    demand,
-                    ok,
-                    f"length {path.length}",
-                )
-            )
+            name = "pad demand rides its own L-hop path"
+            checks.append(StructureCheck(name, demand, ok, f"length {path.length}"))
+        else:  # ry0, ryk, r1r2
+            ok, detail = path.length <= base.L, f"length {path.length}"
+            checks.append(StructureCheck(f"{kind} within bound", demand, ok, detail))
     return StructureReport(tuple(checks))
 
 
@@ -957,7 +860,7 @@ def _check_zigzag(bundle: GadgetBundle, path: Path, k: int) -> tuple[bool, str]:
     if not pos_ms or roles[pos_ms[0][1]] != ("y", 0):
         verts = verts[::-1]
         pos_ms = [(pos, v) for pos, v in enumerate(verts) if v < n_base]
-    if roles[pos_ms[0][1]] != ("y", 0) or roles[pos_ms[-1][1]] != ("y", k):
+    if not pos_ms or roles[pos_ms[0][1]] != ("y", 0) or roles[pos_ms[-1][1]] != ("y", k):
         return False, "endpoints are not y_0 and y_k"
     marks = [(pos, roles[v][1]) for pos, v in pos_ms if roles[v][0] == "y"]
     if [yi for _, yi in marks] != list(range(k + 1)):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from slsn.classifier import HardCase, HardWitness, verify_witness
-from slsn.core import DemandGraph, feasibility_check, shortest_length_in_subgraph
+from slsn.core import DemandGraph, Path, Solution, feasibility_check, shortest_length_in_subgraph
 from slsn.gadgets import (
     CostFlavor,
     GadgetError,
@@ -41,6 +41,18 @@ def mcc_no():
 def mcc_k3():
     """Multicolored K_3."""
     return MccInstance.build(3, [(0, 1), (0, 2), (1, 2)], 3, {0: 1, 1: 2, 2: 3})
+
+
+def clique_mcc(k):
+    """One vertex per color, all joined: a multicolored k-clique on 0..k-1."""
+    return MccInstance.build(
+        k, [(a, b) for a in range(k) for b in range(a + 1, k)], k, {v: v + 1 for v in range(k)}
+    )
+
+
+def biclique_H(k):
+    """Exact 2-by-k(k-1) complete bipartite demand graph: 0 and 1 against 2..k(k-1)+1."""
+    return DemandGraph([(a, 2 + i) for a in (0, 1) for i in range(k * (k - 1))])
 
 
 @pytest.fixture
@@ -424,13 +436,10 @@ class TestPolyCost:
     )
     def test_clique_witness_meets_g(self, build, flavor, k):
         # the clique witness attains the counting lower bound in g_value_of
-        mcc = MccInstance.build(
-            k, [(a, b) for a in range(k) for b in range(a + 1, k)], k,
-            {v: v + 1 for v in range(k)},
-        )
+        mcc = clique_mcc(k)
         H = None
         if build is build_case5:
-            H = DemandGraph([(a, 2 + i) for a in (0, 1) for i in range(k * (k - 1))])
+            H = biclique_H(k)
             b = build_case5(mcc, H)
         else:
             b = build(mcc)
@@ -439,7 +448,11 @@ class TestPolyCost:
         assert b.g_value == g_value_of(b.case_tag, k, H, flavor)
         w = witness_solution(b, range(k))
         assert feasibility_check(b.instance, w.edge_subset).feasible
-        assert verify_structure(b, w).all_ok
+        # canonical paths start at the lower-numbered endpoint, which in
+        # case 4 is l rather than l': the forms are read from either end
+        for sol in (w, Solution.build(b.instance, w.edge_subset)):
+            report = verify_structure(b, sol)
+            assert report.all_ok, report.failures()
         assert w.total_cost == b.g_value
 
 
@@ -482,6 +495,61 @@ class TestWitnessPathLengths:
         bad = Solution(w.edge_subset, tuple(bad_paths[:y_index] + [leaf] + bad_paths[y_index + 1 :]), w.total_cost)
         report = verify_structure(b, bad)
         assert not report.all_ok
+
+
+def swap(a, b):
+    return {a: b, b: a}
+
+
+class TestVerifyStructure:
+    def test_path_count_must_match_demands(self, mcc_yes):
+        b = build_case1(mcc_yes)
+        w = witness_solution(b, [0, 1])
+        for paths in ((), w.witness_paths[:-1], w.witness_paths + w.witness_paths[:1]):
+            report = verify_structure(b, Solution(w.edge_subset, paths, w.total_cost))
+            assert [c.name for c in report.failures()] == ["one witness path per demand"]
+
+    def test_path_without_base_vertex_is_reported(self, mcc_yes):
+        # a lone hop vertex in the leaf and y-path slots fails, never raises
+        b = build_case1(mcc_yes)
+        w = witness_solution(b, [0, 1])
+        hop = Path((len(b.base.labels),), (), Fraction(0), Fraction(0))
+        report = verify_structure(b, Solution(w.edge_subset, (hop,) * 3, w.total_cost))
+        assert {c.demand for c in report.failures()} == set(b.instance.demands.pairs)
+
+    @pytest.mark.parametrize(
+        "build, moves",
+        [
+            pytest.param(build_case1, swap(("leaf", (1, 2)), ("leaf", (2, 1))), id="leaf-swap"),
+            pytest.param(build_case4, swap(("match", (1, 2)), ("match", (2, 1))), id="match-swap"),
+            pytest.param(
+                lambda mcc: build_case5(mcc, biclique_H(2)),
+                swap(("bip1", (1, 2)), ("bip2", (1, 2))),
+                id="bip1-bip2-swap",
+            ),
+            pytest.param(
+                lambda mcc: build_case5(mcc, DemandGraph(list(biclique_H(2).pairs) + [(2, 3)])),
+                {("ll", ((1, 2), (2, 1))): ("bip1", (1, 2))},
+                id="bip1-in-ll-slot",
+            ),
+            pytest.param(
+                lambda mcc: build_general(mcc, *TestGeneralCase().make_pattern_plus_edge()),
+                {("extra", (5, 6)): ("leaf", (1, 2))},
+                id="leaf-in-extra-slot",
+            ),
+        ],
+    )
+    def test_path_in_another_demands_slot_fails(self, mcc_yes, build, moves):
+        # moves maps a demand origin to the origin whose witness path it gets;
+        # exactly the demands that got another's path fail
+        b = build(mcc_yes)
+        w = witness_solution(b, [0, 1])
+        origins, pairs = b.base.demand_origins, b.instance.demands.pairs
+        paths = list(w.witness_paths)
+        for slot, source in moves.items():
+            paths[origins.index(slot)] = w.witness_paths[origins.index(source)]
+        report = verify_structure(b, Solution(w.edge_subset, tuple(paths), w.total_cost))
+        assert {c.demand for c in report.failures()} == {pairs[origins.index(o)] for o in moves}
 
 
 class TestDensestCount:
