@@ -47,6 +47,9 @@ class HardWitness:
       H_k2_star: "center", ("leaf", i), "edge_u", "edge_v" (both leaves)
       H_kk:      ("m", i, 0) and ("m", i, 1), endpoints of matching edge i
       H_2k:      ("side2", 0), ("side2", 1), ("big", i)
+
+    pattern_pairs lists the demand pairs each case places on these roles;
+    verify_witness compares them with H's pairs among the image.
     """
 
     case_tag: HardCase
@@ -125,14 +128,10 @@ def find_hard_pattern(H: DemandGraph, k: int) -> HardWitness:
         if len(common) >= q:
             picked = [x for x in common if x != w][:q]
             vmap: dict = {("side2", 0): s, ("side2", 1): w}
-            for i, x in enumerate(picked):
-                vmap[("big", i)] = x
+            vmap.update({("big", i): x for i, x in enumerate(picked)})
             return HardWitness(HardCase.H_2K, k, vmap)
 
-    internal = [
-        (a, b) for a, b in H.pairs if a in S and b in S
-    ]
-    if not internal:
+    if not any(a in S and b in S for a, b in H.pairs):
         # S independent: some edge has an endpoint outside S + {s}
         for a, b in H.pairs:
             if a not in S | {s} or b not in S | {s}:
@@ -141,19 +140,10 @@ def find_hard_pattern(H: DemandGraph, k: int) -> HardWitness:
         else:
             raise AssertionError("non-star H with independent S must leave S+s")
         T = sorted(S - adj[u] - adj[v] - {u, v})[:q]
-        vmap = {"center": s, "edge_u": u, "edge_v": v}
-        in_star = [x for x in (u, v) if x in S]
-        if in_star:
-            # one endpoint is a star leaf: H_k1_star with that endpoint as u
-            leaf = in_star[0]
-            outside = v if leaf == u else u
-            vmap = {"center": s, "edge_u": leaf, "edge_v": outside}
-            for i, x in enumerate(T):
-                vmap[("leaf", i)] = x
-            return HardWitness(HardCase.H_K1_STAR, k, vmap)
-        for i, x in enumerate(T):
-            vmap[("leaf", i)] = x
-        return HardWitness(HardCase.H_K0_STAR, k, vmap)
+        if v in S:  # the star leaf, if any, becomes edge_u
+            u, v = v, u
+        case = HardCase.H_K1_STAR if u in S else HardCase.H_K0_STAR
+        return _star_witness(case, k, s, T, u, v)
 
     # minimum-degree deletion loop inside S
     S_t = set(S)
@@ -167,14 +157,16 @@ def find_hard_pattern(H: DemandGraph, k: int) -> HardWitness:
         S_t -= adj[v_t] | {v_t}
     for a, b in H.pairs:
         if a in S_t and b in S_t:
-            u, v = min(a, b), max(a, b)
-            break
-    else:
-        raise AssertionError("deletion loop left no internal edge")
-    vmap = {"center": s, "edge_u": u, "edge_v": v}
-    for i, x in enumerate(T):
-        vmap[("leaf", i)] = x
-    return HardWitness(HardCase.H_K2_STAR, k, vmap)
+            return _star_witness(HardCase.H_K2_STAR, k, s, T, a, b)
+    raise AssertionError("deletion loop left no internal edge")
+
+
+def _star_witness(
+    case: HardCase, k: int, center: int, leaves: list[int], u: int, v: int
+) -> HardWitness:
+    vmap: dict = {"center": center, "edge_u": u, "edge_v": v}
+    vmap.update({("leaf", i): x for i, x in enumerate(leaves)})
+    return HardWitness(case, k, vmap)
 
 
 def _greedy_induced_matching(
@@ -191,82 +183,43 @@ def _greedy_induced_matching(
             alive -= adj[a] | adj[b] | {a, b}
     if len(matching) < need:
         raise AssertionError("greedy matching below guaranteed size")
-    vmap: dict = {}
-    for i, (a, b) in enumerate(matching):
-        vmap[("m", i, 0)] = a
-        vmap[("m", i, 1)] = b
+    vmap = {("m", i, end): x for i, pair in enumerate(matching) for end, x in enumerate(pair)}
     return HardWitness(HardCase.H_KK, k, vmap)
 
 
-def verify_witness(H: DemandGraph, w: HardWitness) -> bool:
-    """Check the tagged pattern structurally against H's induced subgraph.
+def pattern_pairs(w: HardWitness) -> Optional[set[tuple[int, int]]]:
+    """The demand pairs w's case places on its roles, as (min, max) pairs of H.
 
-    Direct structural tests (star center adjacency, leaf independence,
-    matching independence, bipartite containment), no isomorphism search.
-    Returns False on any failure.
+    None unless the witness's role keys are exactly its case's.
     """
     q = w.k * (w.k - 1)
-    vmap = w.vertex_map
-    image = list(vmap.values())
-    if len(set(image)) != len(image):
-        return False
-    adj = _adjacency(H)
-    for v in image:
-        if v not in adj:
-            return False
-
-    def connected(a: int, b: int) -> bool:
-        return b in adj[a]
-
     if w.case_tag is HardCase.H_KK:
-        keys = sorted((key for key in vmap if key[0] == "m"), key=lambda x: (x[1], x[2]))
-        count = len(keys) // 2
-        if count != q + 1 or len(keys) != 2 * count:
-            return False
-        ends = [(vmap[("m", i, 0)], vmap[("m", i, 1)]) for i in range(count)]
-        for i, (a, b) in enumerate(ends):
-            if not connected(a, b):
-                return False
-            for j in range(i + 1, count):
-                c, d = ends[j]
-                if any(connected(x, y) for x in (a, b) for y in (c, d)):
-                    return False  # not induced: cross edge between matched pairs
-        return True
+        roles = [(("m", i, 0), ("m", i, 1)) for i in range(q + 1)]
+    elif w.case_tag is HardCase.H_2K:
+        roles = [(("side2", s), ("big", i)) for s in (0, 1) for i in range(q)]
+    else:
+        roles = [("center", ("leaf", i)) for i in range(q)] + [("edge_u", "edge_v")]
+        if w.case_tag is not HardCase.H_K0_STAR:
+            roles.append(("center", "edge_u"))
+        if w.case_tag is HardCase.H_K2_STAR:
+            roles.append(("center", "edge_v"))
+    vmap = w.vertex_map
+    if {key for pair in roles for key in pair} != vmap.keys():
+        return None
+    return {(min(vmap[a], vmap[b]), max(vmap[a], vmap[b])) for a, b in roles}
 
-    if w.case_tag is HardCase.H_2K:
-        side = [vmap.get(("side2", 0)), vmap.get(("side2", 1))]
-        big = [vmap[key] for key in sorted(k_ for k_ in vmap if k_[0] == "big")]
-        if None in side or len(big) != q or len(vmap) != q + 2:
-            return False
-        return all(connected(s_, b_) for s_ in side for b_ in big)
 
-    center = vmap.get("center")
-    u, v = vmap.get("edge_u"), vmap.get("edge_v")
-    leaves = [vmap[key] for key in sorted(k_ for k_ in vmap if isinstance(k_, tuple) and k_[0] == "leaf")]
-    if center is None or u is None or v is None:
-        return False
-    if not connected(u, v):
-        return False
-    if any(not connected(center, leaf) for leaf in leaves):
-        return False
-    if any(connected(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1 :]):
-        return False  # leaves must be mutually non-adjacent (induced star)
-    if any(connected(u, leaf) or connected(v, leaf) for leaf in leaves):
-        return False  # the extra edge's endpoints must avoid the plain leaves
+def verify_witness(H: DemandGraph, w: HardWitness) -> bool:
+    """Check that w's image induces exactly its case's pattern in H.
 
-    if w.case_tag is HardCase.H_K0_STAR:
-        return (
-            len(leaves) == q
-            and not connected(center, u)
-            and not connected(center, v)
-        )
-    if w.case_tag is HardCase.H_K1_STAR:
-        # u is one more leaf; v stays outside the star entirely
-        return (
-            len(leaves) == q
-            and connected(center, u)
-            and not connected(center, v)
-        )
-    if w.case_tag is HardCase.H_K2_STAR:
-        return len(leaves) == q and connected(center, u) and connected(center, v)
-    return False
+    The vertex map must be injective with exactly its case's role keys, and
+    H's demand pairs among the image must equal pattern_pairs(w); for H_2k
+    they need only contain them (the biclique may carry further pairs).
+    Returns False on any failure.
+    """
+    want = pattern_pairs(w)
+    image = set(w.vertex_map.values())
+    if want is None or len(image) != len(w.vertex_map):
+        return False
+    got = {(a, b) for a, b in H.pairs if a in image and b in image}
+    return want <= got if w.case_tag is HardCase.H_2K else want == got

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -217,3 +218,56 @@ class TestVerifyWitness:
             {("side2", 0): 0, ("side2", 1): 1, ("big", 0): 2, ("big", 1): 3},
         )
         assert verify_witness(H, w)
+
+
+def pattern_table(case, k):
+    """Each hard pattern's demand pairs on its role keys, stated here independently."""
+    q = k * (k - 1)
+    star = [("center", ("leaf", i)) for i in range(q)] + [("edge_u", "edge_v")]
+    return {
+        HardCase.H_K0_STAR: star,
+        HardCase.H_K1_STAR: star + [("center", "edge_u")],
+        HardCase.H_K2_STAR: star + [("center", "edge_u"), ("center", "edge_v")],
+        HardCase.H_KK: [(("m", i, 0), ("m", i, 1)) for i in range(q + 1)],
+        HardCase.H_2K: [(("side2", s), ("big", i)) for s in (0, 1) for i in range(q)],
+    }[case]
+
+
+def planted(case, k):
+    """A witness on odd vertex ids and its pattern's pairs, plus the disjoint pair (1000, 1001)."""
+    roles = pattern_table(case, k)
+    keys = sorted({key for pair in roles for key in pair}, key=repr)
+    vmap = {key: 2 * i + 1 for i, key in enumerate(keys)}
+    pairs = {tuple(sorted((vmap[a], vmap[b]))) for a, b in roles}
+    return HardWitness(case, k, vmap), pairs | {(1000, 1001)}
+
+
+class TestPatternPairs:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("case", list(HardCase), ids=lambda c: c.value)
+    def test_each_single_pair_toggle_decides(self, case, k):
+        # only a pair added inside the biclique image keeps a witness valid
+        w, pairs = planted(case, k)
+        assert verify_witness(DemandGraph(sorted(pairs)), w)
+        for pair in combinations(sorted(w.vertex_map.values()), 2):
+            H = DemandGraph(sorted(pairs ^ {pair}))
+            allowed = case is HardCase.H_2K and pair not in pairs
+            assert verify_witness(H, w) is allowed, pair
+
+    @pytest.mark.parametrize("case", list(HardCase), ids=lambda c: c.value)
+    def test_malformed_role_keys_fail(self, case):
+        w, pairs = planted(case, K)
+        H = DemandGraph(sorted(pairs))
+        for key in w.vertex_map:
+            missing = {k_: v for k_, v in w.vertex_map.items() if k_ != key}
+            assert not verify_witness(H, HardWitness(case, K, missing)), key
+        # the stray key sits on a vertex of H outside the pattern's pairs
+        stray = {**w.vertex_map, ("stray", 0): 1000}
+        assert not verify_witness(H, HardWitness(case, K, stray))
+
+    def test_matching_key_out_of_range_fails(self):
+        w, pairs = planted(HardCase.H_KK, K)
+        q = K * (K - 1)
+        vmap = dict(w.vertex_map)
+        vmap[("m", 7, 0)], vmap[("m", 7, 1)] = vmap.pop(("m", q, 0)), vmap.pop(("m", q, 1))
+        assert not verify_witness(DemandGraph(sorted(pairs)), HardWitness(HardCase.H_KK, K, vmap))

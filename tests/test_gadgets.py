@@ -50,6 +50,12 @@ def clique_mcc(k):
     )
 
 
+def two_top_mcc(k):
+    """clique_mcc(k) plus a second color-k vertex k, joined to 0..k-2 only."""
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k)] + [(v, k) for v in range(k - 1)]
+    return MccInstance.build(k + 1, edges, k, {v: min(v + 1, k) for v in range(k + 1)})
+
+
 def biclique_H(k):
     """Exact 2-by-k(k-1) complete bipartite demand graph: 0 and 1 against 2..k(k-1)+1."""
     return DemandGraph([(a, 2 + i) for a in (0, 1) for i in range(k * (k - 1))])
@@ -550,6 +556,35 @@ class TestVerifyStructure:
             paths[origins.index(slot)] = w.witness_paths[origins.index(source)]
         report = verify_structure(b, Solution(w.edge_subset, tuple(paths), w.total_cost))
         assert {c.demand for c in report.failures()} == {pairs[origins.index(o)] for o in moves}
+
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("build", [build_case1, build_case4])
+    @pytest.mark.parametrize("corrupt", ["cut-at-y_k-1", "one-hop-past-y_k", "moved-x'-slot"])
+    def test_corrupted_ypath_fails_only_its_demand(self, build, k, corrupt):
+        b = build(two_top_mcc(k))
+        w = witness_solution(b, range(k))
+        graph, at = b.instance.graph, b.base.demand_origins.index(("ypath", None))
+        path = w.witness_paths[at]
+        y = [b.role_vertex("y", i) for i in range(k + 1)]
+        assert (path.vertices[0], path.vertices[-1]) == (y[0], y[k])
+        if corrupt == "cut-at-y_k-1":
+            cut = path.vertices.index(y[k - 1])
+            bad = Path.from_edge_sequence(graph, path.vertices[: cut + 1], path.edges[:cut])
+        elif corrupt == "one-hop-past-y_k":
+            e = next(
+                i for i, e in enumerate(graph.edges) if y[k] in (e.u, e.v) and i not in path.edges
+            )
+            verts = path.vertices + (graph.edges[e].other(y[k]),)
+            bad = Path.from_edge_sequence(graph, verts, path.edges + (e,))
+        else:  # color k's first x' slot taken from its other vertex k
+            j = f_next(k, 0)
+            moved = {b.role_vertex("xp", (k - 1, j)): b.role_vertex("xp", (k, j))}
+            verts = tuple(moved.get(v, v) for v in path.vertices)
+            bad = Path(verts, path.edges, path.length, path.cost)
+        paths = w.witness_paths[:at] + (bad,) + w.witness_paths[at + 1 :]
+        report = verify_structure(b, Solution(w.edge_subset, paths, w.total_cost))
+        assert {c.demand for c in report.failures()} == {b.instance.demands.pairs[at]}
 
 
 class TestDensestCount:
